@@ -13,7 +13,7 @@ use plr_core::element::Element;
 use plr_core::nacci::{carries_of, CorrectionTable};
 use plr_core::serial;
 use plr_core::signature::Signature;
-use plr_parallel::{resolve_threads, ParallelRunner, RunnerConfig, Strategy};
+use plr_parallel::{resolve_threads, ParallelRunner, RunnerConfig};
 use std::hint::black_box;
 use std::sync::{Mutex, OnceLock};
 
@@ -164,7 +164,6 @@ fn bench_repeated_runs(c: &mut Criterion) {
         RunnerConfig {
             chunk_size: m,
             threads,
-            strategy: Strategy::default(),
             ..Default::default()
         },
     )
@@ -229,7 +228,6 @@ fn bench_single_shot_large(c: &mut Criterion) {
         RunnerConfig {
             chunk_size: m,
             threads,
-            strategy: Strategy::default(),
             ..Default::default()
         },
     )

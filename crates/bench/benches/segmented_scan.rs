@@ -21,7 +21,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use plr_core::segmented::{run_serial, SegmentedPlan, Segments};
 use plr_core::Signature;
-use plr_parallel::{RunnerConfig, SegmentedRunner, Strategy};
+use plr_parallel::{RunnerConfig, SegmentedRunner};
 use std::hint::black_box;
 
 fn quick() -> bool {
@@ -58,7 +58,6 @@ fn runner(segments: &Segments, n: usize, chunk: usize, threads: usize) -> Segmen
         RunnerConfig {
             chunk_size: chunk,
             threads,
-            strategy: Strategy::default(),
             ..Default::default()
         },
     )
@@ -106,7 +105,6 @@ fn bench_sparse_skip(c: &mut Criterion) {
     let config = |threads| RunnerConfig {
         chunk_size: chunk,
         threads,
-        strategy: Strategy::default(),
         ..Default::default()
     };
     for threads in [1usize, 4] {

@@ -19,7 +19,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use plr_core::varying::{reference, VaryingSignature};
-use plr_parallel::{RunnerConfig, Strategy, VaryingRunner};
+use plr_parallel::{RunnerConfig, VaryingRunner};
 use std::hint::black_box;
 
 fn quick() -> bool {
@@ -85,7 +85,6 @@ fn bench_selective_scan(c: &mut Criterion) {
             RunnerConfig {
                 chunk_size: 1 << 16,
                 threads,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
         )
@@ -115,7 +114,6 @@ fn bench_adaptive_filter(c: &mut Criterion) {
             RunnerConfig {
                 chunk_size: 1 << 16,
                 threads,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
         )

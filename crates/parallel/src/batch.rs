@@ -16,9 +16,10 @@ use crate::pool::{
     lock_recover, resolve_threads, AbortSignal, CancelToken, RunControl, RunError, SendPtr,
     Tickets, WorkerPanic, WorkerPool,
 };
-use crate::runner::{fir_in_place, ParallelRunner, RunnerConfig};
+use crate::runner::{ParallelRunner, RunnerConfig};
 use crate::stats::RunStats;
 use crate::stream::RowStream;
+use plr_core::blocked::fir_in_place;
 use plr_core::element::Element;
 use plr_core::error::EngineError;
 use plr_core::kernel::KernelKind;
@@ -100,9 +101,9 @@ impl<T: Element> RowTask<T> {
 
     /// Builds the per-row work unit for a time-varying signature. Every
     /// row must have exactly the plan's bound length — the coefficients
-    /// are positional — and a row of any other length panics (surfacing
-    /// as [`EngineError::WorkerPanicked`] for that row through the usual
-    /// unwind guards).
+    /// are positional. [`RowStream`] rejects rows of any other length at
+    /// push time with [`EngineError::LengthMismatch`]; handing one to
+    /// [`RowTask::apply`] directly panics.
     pub fn varying(plan: Arc<VaryingPlan<T>>) -> Self {
         RowTask {
             inner: TaskInner::Varying { plan },
@@ -111,12 +112,22 @@ impl<T: Element> RowTask<T> {
 
     /// Builds the per-row work unit for a segmented workload. Every row
     /// must have exactly the plan's bound length — the segment boundaries
-    /// are positional — and a row of any other length panics (surfacing
-    /// as [`EngineError::WorkerPanicked`] for that row through the usual
-    /// unwind guards).
+    /// are positional. [`RowStream`] rejects rows of any other length at
+    /// push time with [`EngineError::LengthMismatch`]; handing one to
+    /// [`RowTask::apply`] directly panics.
     pub fn segmented(plan: Arc<SegmentedPlan<T>>) -> Self {
         RowTask {
             inner: TaskInner::Segmented { plan },
+        }
+    }
+
+    /// The row length the task's plan binds: `None` for constant tasks,
+    /// whose rows may have any length.
+    pub(crate) fn bound_len(&self) -> Option<usize> {
+        match &self.inner {
+            TaskInner::Constant { .. } => None,
+            TaskInner::Varying { plan } => Some(plan.len()),
+            TaskInner::Segmented { plan } => Some(plan.len()),
         }
     }
 
@@ -377,73 +388,16 @@ impl<T: Element> BatchRunner<T> {
         let threads = self.threads().max(1);
 
         if rows >= threads || rows == 0 {
-            self.run_whole_rows(data, width, rows, cancel)
+            let mut ctl = RunControl::new();
+            if let Some(token) = cancel {
+                ctl = ctl.with_cancel(token);
+            }
+            run_task_rows(self.pool(), &self.task, data, width, &ctl)
         } else {
             // Few long rows: parallelize inside each row instead, through
             // the cached intra-row runner (correction table reused).
             self.run_long_rows(data, width, threads, cancel)
         }
-    }
-
-    /// Whole rows per worker: embarrassingly parallel, fully in place
-    /// (in-place FIR + in-place feedback solve; rows are independent so
-    /// there are no cross-boundary inputs to stash).
-    fn run_whole_rows(
-        &self,
-        data: &mut [T],
-        width: usize,
-        rows: usize,
-        cancel: Option<&CancelToken>,
-    ) -> Result<RunStats, EngineError> {
-        let pool = self.pool();
-        let mut ctl = RunControl::new();
-        if let Some(token) = cancel {
-            ctl = ctl.with_cancel(token);
-        }
-        let task = &self.task;
-        let fir_nanos = AtomicU64::new(0);
-        let solve_nanos = AtomicU64::new(0);
-        let solve_slices = AtomicU64::new(0);
-        let aborts = AtomicU64::new(0);
-        let recovered_before = pool.recovered_workers();
-        let tickets = Tickets::new(rows);
-        let base = SendPtr::new(data.as_mut_ptr());
-        pool.run_ctl(&ctl, |worker, abort| {
-            let (mut fir_ns, mut solve_ns, mut slices) = (0u64, 0u64, 0u64);
-            while let Some(r) = tickets.claim() {
-                if abort.is_aborted() {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                // SAFETY: unique tickets make the rows disjoint; `data`
-                // outlives the blocking `pool.run` call.
-                let row =
-                    unsafe { std::slice::from_raw_parts_mut(base.ptr().add(r * width), width) };
-                let (f, s, sl) = task.apply(row, worker, r, Some(abort));
-                fir_ns += f;
-                solve_ns += s;
-                slices += sl;
-            }
-            fir_nanos.fetch_add(fir_ns, Ordering::Relaxed);
-            solve_nanos.fetch_add(solve_ns, Ordering::Relaxed);
-            solve_slices.fetch_add(slices, Ordering::Relaxed);
-        })
-        .map_err(RunError::into_engine_error)?;
-        Ok(RunStats {
-            rows: rows as u64,
-            chunks: rows as u64,
-            threads: pool.width() as u64,
-            aborts: aborts.load(Ordering::Relaxed),
-            workers_recovered: pool.recovered_workers() - recovered_before,
-            fir_nanos: fir_nanos.load(Ordering::Relaxed),
-            solve_nanos: solve_nanos.load(Ordering::Relaxed),
-            plan_cache_hits: self.task.plan_cache_hits(),
-            plan_cache_misses: self.task.plan_cache_misses(),
-            plan_kind: self.task.plan_kind(),
-            kernel: self.task.kernel_kind(),
-            solve_slices: solve_slices.load(Ordering::Relaxed),
-            ..RunStats::default()
-        })
     }
 
     /// Few long rows: chunked decoupled look-back inside each row via the
@@ -509,8 +463,7 @@ impl<T: Element> BatchRunner<T> {
             }
             // The per-row dispatch happens on the calling thread, outside
             // any `pool.run`; guard it so an injected fault here still
-            // honors the panics-become-errors contract (mirrors the
-            // two-pass sequential chain).
+            // honors the panics-become-errors contract.
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 #[cfg(feature = "fault-inject")]
                 crate::fault::check(crate::fault::FaultSite::Row, 0, _r, None);
@@ -525,6 +478,61 @@ impl<T: Element> BatchRunner<T> {
         }
         Ok(stats)
     }
+}
+
+/// Whole rows per worker through `task`: embarrassingly parallel, fully
+/// in place (rows are independent, so there are no cross-boundary inputs
+/// to stash). `width` must divide `data.len()`.
+pub(crate) fn run_task_rows<T: Element>(
+    pool: &WorkerPool,
+    task: &RowTask<T>,
+    data: &mut [T],
+    width: usize,
+    ctl: &RunControl,
+) -> Result<RunStats, EngineError> {
+    let rows = data.len() / width;
+    let fir_nanos = AtomicU64::new(0);
+    let solve_nanos = AtomicU64::new(0);
+    let solve_slices = AtomicU64::new(0);
+    let aborts = AtomicU64::new(0);
+    let recovered_before = pool.recovered_workers();
+    let tickets = Tickets::new(rows);
+    let base = SendPtr::new(data.as_mut_ptr());
+    pool.run_ctl(ctl, |worker, abort| {
+        let (mut fir_ns, mut solve_ns, mut slices) = (0u64, 0u64, 0u64);
+        while let Some(r) = tickets.claim() {
+            if abort.is_aborted() {
+                aborts.fetch_add(1, Ordering::Relaxed);
+                break;
+            }
+            // SAFETY: unique tickets make the rows disjoint; `data`
+            // outlives the blocking `pool.run_ctl` call.
+            let row = unsafe { std::slice::from_raw_parts_mut(base.ptr().add(r * width), width) };
+            let (f, s, sl) = task.apply(row, worker, r, Some(abort));
+            fir_ns += f;
+            solve_ns += s;
+            slices += sl;
+        }
+        fir_nanos.fetch_add(fir_ns, Ordering::Relaxed);
+        solve_nanos.fetch_add(solve_ns, Ordering::Relaxed);
+        solve_slices.fetch_add(slices, Ordering::Relaxed);
+    })
+    .map_err(RunError::into_engine_error)?;
+    Ok(RunStats {
+        rows: rows as u64,
+        chunks: rows as u64,
+        threads: pool.width() as u64,
+        aborts: aborts.load(Ordering::Relaxed),
+        workers_recovered: pool.recovered_workers() - recovered_before,
+        fir_nanos: fir_nanos.load(Ordering::Relaxed),
+        solve_nanos: solve_nanos.load(Ordering::Relaxed),
+        plan_cache_hits: task.plan_cache_hits(),
+        plan_cache_misses: task.plan_cache_misses(),
+        plan_kind: task.plan_kind(),
+        kernel: task.kernel_kind(),
+        solve_slices: solve_slices.load(Ordering::Relaxed),
+        ..RunStats::default()
+    })
 }
 
 #[cfg(test)]

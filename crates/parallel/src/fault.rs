@@ -27,9 +27,8 @@ use std::time::{Duration, Instant};
 pub enum FaultSite {
     /// Just before a chunk's (or batch row's) local solve.
     Solve,
-    /// Just before a chunk's look-back resolution — the pipeline
-    /// strategy's variable look-back, or the two-pass strategy's
-    /// sequential carry chain (consulted with worker id 0 there).
+    /// Just before a chunk's look-back resolution (the pipeline's
+    /// variable look-back).
     Lookback,
     /// At the start of [`RunHandle::wait`] / [`RunHandle::wait_timeout`]
     /// and their [`RowHandle`] counterparts — the *observer* side of a

@@ -121,6 +121,7 @@
 pub mod batch;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
+mod pipeline;
 pub mod pool;
 pub mod retry;
 pub mod runner;
@@ -135,7 +136,7 @@ pub use pool::{
     RunHandle, WatchGuard, WorkerPanic, WorkerPool,
 };
 pub use retry::{retry_with_backoff, Backoff, RetryOutcome};
-pub use runner::{ParallelRunner, RunnerConfig, Strategy};
+pub use runner::{ParallelRunner, RunnerConfig};
 pub use segmented::SegmentedRunner;
 pub use stats::{PoolCounters, RunStats};
 pub use stream::{block_on, PushError, RowFuture, RowHandle, RowStream, RunFuture};

@@ -1,55 +1,38 @@
-//! The multithreaded runner: chunked decoupled look-back on real threads.
+//! The multithreaded runners: chunked decoupled look-back on real threads.
 //!
 //! This is the paper's algorithm mapped onto the parallelism we actually
-//! have in this reproduction environment — CPU threads. Workers live in a
-//! persistent [`WorkerPool`] (spawned lazily on the first run, reused by
-//! every later one) and claim chunks in order from an atomic ticket
-//! counter. Each worker applies the FIR map stage *in place* on its chunk
-//! (cross-boundary inputs are stashed up front), solves its chunk locally
-//! (serial within a chunk is optimal when there are no intra-chunk lanes),
-//! publishes the chunk's *local* carries, derives its predecessor's
-//! *global* carries by variable look-back over already-published carries,
-//! corrects its chunk with the precomputed n-nacci factors, and publishes
-//! its own global carries.
+//! have in this reproduction environment — CPU threads. Every runner is a
+//! [`Runner`] shell around one precomputed plan: it owns the
+//! configuration and a persistent [`WorkerPool`] (spawned lazily on the
+//! first run, reused by every later one), validates inputs, and hands
+//! each run to the crate's one look-back pipeline. What differs between
+//! recurrence families is only the plan's *carry algebra* — how a chunk
+//! is solved, how carries compose across chunks, and how a chunk is
+//! corrected:
 //!
-//! Progress argument (same as the GPU kernel's): tickets are claimed in
-//! order, every in-flight chunk publishes its local carries *before* any
-//! waiting, and the oldest in-flight chunk's predecessor globals always
-//! exist — so the look-back chain can always be resolved and the spin
-//! waits are bounded by the pipeline depth (the pool width).
+//! * [`ParallelRunner`] — constant coefficients ([`ConstantPlan`]): `k`
+//!   carries stitched by the n-nacci correction factors;
+//! * [`VaryingRunner`](crate::VaryingRunner) — time-varying coefficients:
+//!   affine matrix carries, with opportunistic fusion;
+//! * [`SegmentedRunner`](crate::SegmentedRunner) — segmented inputs:
+//!   reset-aware look-back and a sparse fast path.
 
-use crate::pool::{
-    resolve_threads, AbortSignal, CancelToken, RunControl, RunError, SendPtr, Tickets, WorkerPanic,
-    WorkerPool,
-};
+use crate::batch::run_task_rows;
+use crate::pipeline::{self, timed, CarryAlgebra, RowAlgebra, Step};
+use crate::pool::{resolve_threads, CancelToken, RunControl, WorkerPool};
 use crate::stats::RunStats;
+use crate::stream::RowStream;
+use plr_core::blocked::fir_in_place;
 use plr_core::element::Element;
 use plr_core::engine::MAX_INPUT_LEN;
 use plr_core::error::EngineError;
 use plr_core::nacci::carries_of;
 use plr_core::plan::{self, CorrectionPlan, PlanMode, PlanRequest};
 use plr_core::signature::Signature;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// How the runner schedules the carry propagation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Strategy {
-    /// Single pass with decoupled look-back: each worker publishes local
-    /// carries, resolves its predecessor's global carries from whatever is
-    /// already published, corrects, and publishes — the paper's pipelined
-    /// Phase 2 on threads.
-    #[default]
-    LookbackPipeline,
-    /// Two passes with a barrier: parallel local solves, a sequential
-    /// `O(chunks·k²)` carry chain on one thread, then parallel correction.
-    /// Simpler, no spinning, but touches every chunk's data twice.
-    TwoPass,
-}
-
-/// Configuration for [`ParallelRunner`].
+/// Configuration for every [`Runner`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunnerConfig {
     /// Elements per chunk (one chunk is one unit of work). Must be at
@@ -57,8 +40,6 @@ pub struct RunnerConfig {
     pub chunk_size: usize,
     /// Worker threads; `0` means one per available CPU.
     pub threads: usize,
-    /// Carry-propagation strategy.
-    pub strategy: Strategy,
     /// Opt-in finiteness validation for float runs: after each chunk's
     /// local solve and correction, scan its `k` carries for NaN/Inf and
     /// abort the run with [`EngineError::NonFiniteCarry`] instead of
@@ -70,9 +51,8 @@ pub struct RunnerConfig {
     /// watchdog thread: a run that outlives it — even one wedged in a
     /// spin-wait or starved by the OS — is aborted cooperatively and
     /// returns [`EngineError::DeadlineExceeded`] instead of hanging. One
-    /// budget covers the whole call (both passes of
-    /// [`Strategy::TwoPass`], every chunk of the pipeline). Default
-    /// `None` (unbounded).
+    /// budget covers the whole call (every chunk of the pipeline).
+    /// Default `None` (unbounded).
     pub deadline: Option<Duration>,
     /// Correction-plan mode: [`PlanMode::Auto`] (default) picks the
     /// cheapest sound strategy per factor list through the shared plan
@@ -86,7 +66,6 @@ impl Default for RunnerConfig {
         RunnerConfig {
             chunk_size: 1 << 16,
             threads: 0,
-            strategy: Strategy::default(),
             check_finite: false,
             deadline: None,
             plan: PlanMode::default(),
@@ -94,8 +73,25 @@ impl Default for RunnerConfig {
     }
 }
 
-/// A multithreaded executor for one signature (factors precomputed once,
-/// worker threads spawned once and reused across runs).
+/// A multithreaded executor for one precomputed plan, with worker
+/// threads spawned once and reused across runs. Use it through its
+/// per-family names: [`ParallelRunner`],
+/// [`VaryingRunner`](crate::VaryingRunner) and
+/// [`SegmentedRunner`](crate::SegmentedRunner).
+#[derive(Debug)]
+pub struct Runner<A> {
+    /// The precomputed plan (shared with rows dispatched through the
+    /// batch and stream layers).
+    plan: Arc<A>,
+    config: RunnerConfig,
+    /// The persistent pool, created on first use (or inherited from a
+    /// [`crate::BatchRunner`] so both share one set of threads).
+    pool: OnceLock<Arc<WorkerPool>>,
+}
+
+/// A multithreaded executor for one constant-coefficient signature
+/// (factors precomputed once, worker threads spawned once and reused
+/// across runs).
 ///
 /// # Examples
 ///
@@ -109,73 +105,251 @@ impl Default for RunnerConfig {
 /// assert_eq!(y, vec![1, 3, 6, 10]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+pub type ParallelRunner<T> = Runner<ConstantPlan<T>>;
+
+/// The plan a [`ParallelRunner`] executes: the signature's cached
+/// correction plan (factor table, decay-truncated when sound, per-list
+/// strategies, FIR and local-solve kernels) and whether the shared plan
+/// cache served it.
 #[derive(Debug)]
-pub struct ParallelRunner<T> {
-    signature: Signature<T>,
-    /// The cached correction plan: factor table (decay-truncated when
-    /// sound), per-list strategies, FIR and local-solve kernels.
-    plan: Arc<CorrectionPlan<T>>,
-    /// Whether the plan came from the shared cache (reported in stats).
-    plan_cache_hit: bool,
-    config: RunnerConfig,
-    /// The persistent pool, created on first use (or inherited from a
-    /// [`crate::BatchRunner`] so both share one set of threads).
-    pool: OnceLock<Arc<WorkerPool>>,
+pub struct ConstantPlan<T> {
+    correction: Arc<CorrectionPlan<T>>,
+    cache_hit: bool,
 }
 
-/// Per-chunk carry slots, published lock-free through [`OnceLock`].
-pub(crate) struct Slot<T> {
-    pub(crate) local: OnceLock<Vec<T>>,
-    pub(crate) global: OnceLock<Vec<T>>,
-}
-
-impl<T> Slot<T> {
-    pub(crate) fn new() -> Self {
-        Slot {
-            local: OnceLock::new(),
-            global: OnceLock::new(),
+impl<A: CarryAlgebra> Runner<A> {
+    pub(crate) fn from_plan_and_config(plan: A, config: RunnerConfig) -> Self {
+        Runner {
+            plan: Arc::new(plan),
+            config,
+            pool: OnceLock::new(),
         }
     }
-}
 
-/// Atomic accumulators for the per-phase wall times in [`RunStats`],
-/// plus the local-solve slice count (the abort-granularity metric).
-#[derive(Default)]
-pub(crate) struct PhaseClocks {
-    pub(crate) fir: AtomicU64,
-    pub(crate) solve: AtomicU64,
-    pub(crate) lookback: AtomicU64,
-    pub(crate) correct: AtomicU64,
-    pub(crate) slices: AtomicU64,
-}
+    /// The plan, as shared with the batch and stream layers.
+    pub(crate) fn shared_plan(&self) -> &Arc<A> {
+        &self.plan
+    }
 
-/// Per-worker tallies, flushed to the shared clocks once per job to keep
-/// atomic traffic off the per-chunk path.
-#[derive(Default)]
-pub(crate) struct PhaseTally {
-    pub(crate) fir: u64,
-    pub(crate) solve: u64,
-    pub(crate) lookback: u64,
-    pub(crate) correct: u64,
-    pub(crate) slices: u64,
-}
+    /// The configured worker count (resolving `0` to the CPU count).
+    pub fn threads(&self) -> usize {
+        resolve_threads(self.config.threads)
+    }
 
-impl PhaseTally {
-    pub(crate) fn flush(&self, clocks: &PhaseClocks) {
-        clocks.fir.fetch_add(self.fir, Ordering::Relaxed);
-        clocks.solve.fetch_add(self.solve, Ordering::Relaxed);
-        clocks.lookback.fetch_add(self.lookback, Ordering::Relaxed);
-        clocks.correct.fetch_add(self.correct, Ordering::Relaxed);
-        clocks.slices.fetch_add(self.slices, Ordering::Relaxed);
+    /// The runner's configuration.
+    pub fn config(&self) -> &RunnerConfig {
+        &self.config
+    }
+
+    /// The persistent pool, spawning it on first use.
+    fn pool(&self) -> &Arc<WorkerPool> {
+        self.pool
+            .get_or_init(|| Arc::new(WorkerPool::new(self.threads())))
+    }
+
+    /// A run's control: the caller's cancel link plus the configured
+    /// deadline, resolved once so the whole call spends a single budget.
+    fn control(&self, cancel: Option<&CancelToken>) -> RunControl {
+        let mut ctl = RunControl::new();
+        if let Some(token) = cancel {
+            ctl = ctl.with_cancel(token);
+        }
+        if let Some(budget) = self.config.deadline {
+            ctl = ctl.with_deadline(budget);
+        }
+        ctl
+    }
+
+    /// Computes the recurrence over `input`, allocating the output.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::LengthMismatch`] when the plan binds an
+    /// input length and `input` does not have it,
+    /// [`EngineError::InputTooLarge`] beyond 2^30 elements,
+    /// [`EngineError::WorkerPanicked`] when a worker (or the calling
+    /// thread) panicked mid-run, [`EngineError::NonFiniteCarry`] when
+    /// [`RunnerConfig::check_finite`] is on and a chunk produced a NaN or
+    /// infinite carry, and [`EngineError::DeadlineExceeded`] when
+    /// [`RunnerConfig::deadline`] is set and the run outlived it. On
+    /// error the pool survives and the runner stays usable.
+    pub fn run(&self, input: &[A::Elem]) -> Result<Vec<A::Elem>, EngineError> {
+        let mut data = input.to_vec();
+        self.run_in_place(&mut data)?;
+        Ok(data)
+    }
+
+    /// Like [`Runner::run`], but observing a caller-held [`CancelToken`]:
+    /// cancelling any clone of `cancel` — before the call or while it is
+    /// executing — aborts the run cooperatively (the same bail-out paths
+    /// a worker panic uses; even carry spin-waits notice within one poll
+    /// interval) and the call returns [`EngineError::Cancelled`]. The
+    /// runner and its pool stay fully usable afterwards.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Cancelled`] on cancellation, plus everything
+    /// [`Runner::run`] can return.
+    pub fn run_with_cancel(
+        &self,
+        input: &[A::Elem],
+        cancel: &CancelToken,
+    ) -> Result<Vec<A::Elem>, EngineError> {
+        let mut data = input.to_vec();
+        self.run_in_place_with_cancel(&mut data, cancel)?;
+        Ok(data)
+    }
+
+    /// Computes the recurrence in place, returning runtime statistics.
+    ///
+    /// # Errors
+    ///
+    /// See [`Runner::run`]; on error `data` is left partially processed.
+    pub fn run_in_place(&self, data: &mut [A::Elem]) -> Result<RunStats, EngineError> {
+        self.execute(data, None)
+    }
+
+    /// In-place variant of [`Runner::run_with_cancel`].
+    ///
+    /// # Errors
+    ///
+    /// See [`Runner::run_with_cancel`]; on error `data` is left
+    /// partially processed.
+    pub fn run_in_place_with_cancel(
+        &self,
+        data: &mut [A::Elem],
+        cancel: &CancelToken,
+    ) -> Result<RunStats, EngineError> {
+        self.execute(data, Some(cancel))
+    }
+
+    /// Shared entry point: validates the input, builds the run's
+    /// [`RunControl`], and runs the look-back pipeline.
+    pub(crate) fn execute(
+        &self,
+        data: &mut [A::Elem],
+        cancel: Option<&CancelToken>,
+    ) -> Result<RunStats, EngineError> {
+        if let Some(expected) = self.plan.bound_len() {
+            if data.len() != expected {
+                return Err(EngineError::LengthMismatch {
+                    expected,
+                    got: data.len(),
+                });
+            }
+        }
+        if data.len() > MAX_INPUT_LEN {
+            return Err(EngineError::InputTooLarge {
+                len: data.len(),
+                max: MAX_INPUT_LEN,
+            });
+        }
+        if data.is_empty() {
+            // Report the worker count the run would have used; every other
+            // path resolves it the same way.
+            return Ok(RunStats {
+                threads: self.threads() as u64,
+                ..self.plan.base_stats()
+            });
+        }
+        let ctl = self.control(cancel);
+        pipeline::run(
+            &*self.plan,
+            data,
+            self.pool(),
+            &ctl,
+            self.config.check_finite,
+        )
     }
 }
 
-/// Times one closure, adding the elapsed nanoseconds to `slot`.
-pub(crate) fn timed<R>(slot: &mut u64, f: impl FnOnce() -> R) -> R {
-    let start = Instant::now();
-    let out = f();
-    *slot += start.elapsed().as_nanos() as u64;
-    out
+impl<A: RowAlgebra> Runner<A> {
+    /// Applies the recurrence to each row of a row-major matrix in place:
+    /// every row is an independent input under the same plan (so `width`
+    /// must equal the plan's bound length). Rows are distributed whole
+    /// across the pool through the same [`RowTask`](crate::RowTask)
+    /// dispatch the constant batch runner and the streaming layer use.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::UnsupportedSignature`] when `width == 0` or
+    /// does not divide the data length, [`EngineError::LengthMismatch`]
+    /// when `width` is not the plan's bound length, and
+    /// [`EngineError::WorkerPanicked`] when a worker panicked mid-run —
+    /// the pool survives and the runner stays usable, but `data` is left
+    /// partially processed.
+    pub fn run_rows(&self, data: &mut [A::Elem], width: usize) -> Result<RunStats, EngineError> {
+        self.run_rows_ctl(data, width, None)
+    }
+
+    /// Like [`Runner::run_rows`], but observing a caller-held
+    /// [`CancelToken`] (cancelling aborts mid-row; completed rows keep
+    /// their results).
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Cancelled`] on cancellation, plus everything
+    /// [`Runner::run_rows`] can return.
+    pub fn run_rows_with_cancel(
+        &self,
+        data: &mut [A::Elem],
+        width: usize,
+        cancel: &CancelToken,
+    ) -> Result<RunStats, EngineError> {
+        self.run_rows_ctl(data, width, Some(cancel))
+    }
+
+    fn run_rows_ctl(
+        &self,
+        data: &mut [A::Elem],
+        width: usize,
+        cancel: Option<&CancelToken>,
+    ) -> Result<RunStats, EngineError> {
+        if width == 0 || !data.len().is_multiple_of(width) {
+            return Err(EngineError::UnsupportedSignature {
+                reason: format!(
+                    "row width {width} does not divide the data length {}",
+                    data.len()
+                ),
+            });
+        }
+        let expected = self.plan.bound_len().unwrap_or(width);
+        if width != expected {
+            return Err(EngineError::LengthMismatch {
+                expected,
+                got: width,
+            });
+        }
+        let task = A::row_task(&self.plan);
+        let stats = run_task_rows(self.pool(), &task, data, width, &self.control(cancel))?;
+        Ok(RunStats {
+            chunks: stats.rows * width.div_ceil(self.plan.chunk_size()) as u64,
+            correction_taps: self.plan.base_stats().correction_taps,
+            ..stats
+        })
+    }
+
+    /// Opens a streaming submission channel for independent rows under
+    /// this plan — the exact machinery of
+    /// [`BatchRunner::stream`](crate::BatchRunner::stream) (backpressure
+    /// window, per-row handles, cancel/deadline semantics), dispatching
+    /// each row through the plan's [`RowTask`](crate::RowTask). Every
+    /// pushed row must have the plan's bound length; a row of any other
+    /// length gets a handle already resolved to
+    /// [`EngineError::LengthMismatch`].
+    pub fn stream(&self) -> RowStream<A::Elem> {
+        self.stream_with_window(2 * self.threads().max(1))
+    }
+
+    /// Like [`Runner::stream`] with an explicit in-flight window (clamped
+    /// to at least 1).
+    pub fn stream_with_window(&self, window: usize) -> RowStream<A::Elem> {
+        RowStream::launch(
+            Arc::clone(self.pool()),
+            A::row_task(&self.plan),
+            window.max(1),
+        )
+    }
 }
 
 impl<T: Element> ParallelRunner<T> {
@@ -205,14 +379,12 @@ impl<T: Element> ParallelRunner<T> {
             mode: config.plan,
             ..PlanRequest::new::<T>(config.chunk_size)
         };
-        let (plan, plan_cache_hit) = plan::plan_for(&signature, req);
-        Ok(ParallelRunner {
-            signature,
-            plan,
-            plan_cache_hit,
-            config,
-            pool: OnceLock::new(),
-        })
+        let (correction, cache_hit) = plan::plan_for(&signature, req);
+        let plan = ConstantPlan {
+            correction,
+            cache_hit,
+        };
+        Ok(Self::from_plan_and_config(plan, config))
     }
 
     /// Like [`ParallelRunner::with_config`], but executing on an existing
@@ -227,566 +399,99 @@ impl<T: Element> ParallelRunner<T> {
         Ok(runner)
     }
 
-    /// The configured worker count (resolving `0` to the CPU count).
-    pub fn threads(&self) -> usize {
-        resolve_threads(self.config.threads)
-    }
-
-    /// The runner's configuration.
-    pub fn config(&self) -> &RunnerConfig {
-        &self.config
-    }
-
     /// The correction plan this runner executes (strategy selection,
     /// truncation depth, kernels) — shared through the global plan cache.
     pub fn plan(&self) -> &CorrectionPlan<T> {
-        &self.plan
+        &self.plan.correction
+    }
+}
+
+impl<T: Element> ConstantPlan<T> {
+    fn order(&self) -> usize {
+        self.correction.signature().order()
+    }
+}
+
+/// The constant-coefficient algebra: `k` carries, composed and applied
+/// through the correction plan's n-nacci factors.
+impl<T: Element> CarryAlgebra for ConstantPlan<T> {
+    type Elem = T;
+
+    fn chunk_size(&self) -> usize {
+        self.correction.chunk_size()
     }
 
-    /// The persistent pool, spawning it on first use.
-    fn pool(&self) -> &Arc<WorkerPool> {
-        self.pool
-            .get_or_init(|| Arc::new(WorkerPool::new(self.threads())))
-    }
-
-    /// Computes the recurrence over `input`, allocating the output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::InputTooLarge`] beyond 2^30 elements,
-    /// [`EngineError::WorkerPanicked`] when a worker (or the calling
-    /// thread) panicked mid-run, [`EngineError::NonFiniteCarry`] when
-    /// [`RunnerConfig::check_finite`] is on and a chunk produced a NaN or
-    /// infinite carry, and [`EngineError::DeadlineExceeded`] when
-    /// [`RunnerConfig::deadline`] is set and the run outlived it. On
-    /// error the pool survives and the runner stays usable; the input
-    /// buffer's contents are unspecified (partially processed).
-    pub fn run(&self, input: &[T]) -> Result<Vec<T>, EngineError> {
-        let mut data = input.to_vec();
-        self.run_in_place(&mut data)?;
-        Ok(data)
-    }
-
-    /// Like [`ParallelRunner::run`], but observing a caller-held
-    /// [`CancelToken`]: cancelling any clone of `cancel` — before the
-    /// call or while it is executing — aborts the run cooperatively (the
-    /// same bail-out paths a worker panic uses; even carry spin-waits
-    /// notice within one poll interval) and the call returns
-    /// [`EngineError::Cancelled`]. The runner and its pool stay fully
-    /// usable afterwards.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Cancelled`] on cancellation, plus everything
-    /// [`ParallelRunner::run`] can return.
-    pub fn run_with_cancel(
-        &self,
-        input: &[T],
-        cancel: &CancelToken,
-    ) -> Result<Vec<T>, EngineError> {
-        let mut data = input.to_vec();
-        self.run_in_place_with_cancel(&mut data, cancel)?;
-        Ok(data)
-    }
-
-    /// Computes the recurrence in place, returning runtime statistics.
-    ///
-    /// # Errors
-    ///
-    /// See [`ParallelRunner::run`]; additionally, on error `data` is left
-    /// partially processed.
-    pub fn run_in_place(&self, data: &mut [T]) -> Result<RunStats, EngineError> {
-        self.execute(data, None)
-    }
-
-    /// In-place variant of [`ParallelRunner::run_with_cancel`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ParallelRunner::run_with_cancel`]; on error `data` is left
-    /// partially processed.
-    pub fn run_in_place_with_cancel(
-        &self,
-        data: &mut [T],
-        cancel: &CancelToken,
-    ) -> Result<RunStats, EngineError> {
-        self.execute(data, Some(cancel))
-    }
-
-    /// Shared entry point: builds the run's [`RunControl`] (cancel link +
-    /// deadline, resolved once so a multi-pass strategy spends a single
-    /// budget) and dispatches on the strategy.
-    pub(crate) fn execute(
-        &self,
-        data: &mut [T],
-        cancel: Option<&CancelToken>,
-    ) -> Result<RunStats, EngineError> {
-        if data.len() > MAX_INPUT_LEN {
-            return Err(EngineError::InputTooLarge {
-                len: data.len(),
-                max: MAX_INPUT_LEN,
-            });
-        }
-        if data.is_empty() {
-            // Report the worker count the run would have used; every other
-            // path resolves it the same way.
-            return Ok(RunStats {
-                threads: self.threads() as u64,
-                plan_cache_hits: self.plan_cache_hit as u64,
-                plan_cache_misses: !self.plan_cache_hit as u64,
-                plan_kind: self.plan.kind(),
-                correction_taps: self.plan.correction_taps() as u64,
-                kernel: self.plan.solve().kind(),
-                ..RunStats::default()
-            });
-        }
-        let mut ctl = RunControl::new();
-        if let Some(token) = cancel {
-            ctl = ctl.with_cancel(token);
-        }
-        if let Some(budget) = self.config.deadline {
-            ctl = ctl.with_deadline(budget);
-        }
-        let pool = self.pool();
-        match self.config.strategy {
-            Strategy::LookbackPipeline => self.run_lookback(data, pool, &ctl),
-            Strategy::TwoPass => self.run_two_pass(data, pool, &ctl),
-        }
-    }
-
-    /// Stashes, for every chunk after the first, the original inputs its
-    /// in-place FIR needs from across its left boundary (the `p - 1`
-    /// values before the chunk start; fewer near the front of the data).
-    ///
     /// The stash is what lets the map stage run in place: by the time a
     /// worker reads across its left boundary, the owner of that data may
-    /// already have overwritten it with mapped values.
-    fn stash_boundaries(&self, data: &[T], m: usize, num_chunks: usize) -> Vec<Vec<T>> {
-        let p = self.plan.fir().len();
-        if self.signature.is_pure_feedback() || p <= 1 {
+    /// already have overwritten it with mapped values. Chunks after the
+    /// first stash the `p - 1` inputs before their start (fewer near the
+    /// front of the data).
+    fn stash(&self, data: &[T]) -> Vec<Vec<T>> {
+        let p = self.correction.fir().len();
+        if self.correction.signature().is_pure_feedback() || p <= 1 {
             return Vec::new();
         }
-        (1..num_chunks)
-            .map(|c| {
-                let start = c * m;
-                data[start.saturating_sub(p - 1)..start].to_vec()
-            })
+        let m = self.chunk_size();
+        (1..data.len().div_ceil(m))
+            .map(|c| data[(c * m).saturating_sub(p - 1)..c * m].to_vec())
             .collect()
     }
 
-    /// The FIR map for chunk `c` (`start = c·m`), in place. `boundaries`
-    /// comes from [`Self::stash_boundaries`].
-    fn fir_chunk(&self, chunk: &mut [T], c: usize, start: usize, boundaries: &[Vec<T>]) {
-        if self.signature.is_pure_feedback() {
+    fn map_chunk(&self, chunk: &mut [T], c: usize, stash: &[Vec<T>], fir_nanos: &mut u64) {
+        if self.correction.signature().is_pure_feedback() {
             return;
         }
-        // `boundaries` is empty when `p <= 1`: a one-tap FIR never reads
+        // The stash is empty when `p <= 1`: a one-tap FIR never reads
         // across a chunk boundary.
-        let prev: &[T] = if c == 0 || boundaries.is_empty() {
+        let prev: &[T] = if c == 0 || stash.is_empty() {
             &[]
         } else {
-            &boundaries[c - 1]
+            &stash[c - 1]
         };
-        fir_in_place(self.plan.fir(), prev, start, chunk);
-    }
-
-    /// The single-pass decoupled look-back pipeline on the pool.
-    fn run_lookback(
-        &self,
-        data: &mut [T],
-        pool: &WorkerPool,
-        ctl: &RunControl,
-    ) -> Result<RunStats, EngineError> {
-        let m = self.config.chunk_size;
-        let n = data.len();
-        let k = self.signature.order();
-        let num_chunks = n.div_ceil(m);
-        let boundaries = self.stash_boundaries(data, m, num_chunks);
-        let check_finite = self.config.check_finite && T::IS_FLOAT;
-
-        let slots: Vec<Slot<T>> = (0..num_chunks).map(|_| Slot::new()).collect();
-        let hops = AtomicU64::new(0);
-        let spins = AtomicU64::new(0);
-        let max_depth = AtomicU64::new(0);
-        let resets = AtomicU64::new(0);
-        let aborts = AtomicU64::new(0);
-        let clocks = PhaseClocks::default();
-        let failure: OnceLock<EngineError> = OnceLock::new();
-        let tickets = Tickets::new(num_chunks);
-        let base = SendPtr::new(data.as_mut_ptr());
-        let recovered_before = pool.recovered_workers();
-
-        let outcome = pool.run_ctl(ctl, |_worker, abort| {
-            let mut tally = PhaseTally::default();
-            while let Some(c) = tickets.claim() {
-                if abort.is_aborted() {
-                    // A worker died or a check failed: stop touching data
-                    // so the run can surface its error promptly.
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                let start = c * m;
-                let len = m.min(n - start);
-                // SAFETY: tickets are unique, so chunk `c` is exclusively
-                // ours; `base` outlives `pool.run` (it blocks until every
-                // worker finishes, even when one of them panics).
-                let chunk = unsafe { std::slice::from_raw_parts_mut(base.ptr().add(start), len) };
-                timed(&mut tally.fir, || {
-                    self.fir_chunk(chunk, c, start, &boundaries)
-                });
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Solve, _worker, c, Some(abort));
-                // Local solve (time-sliced so a cancel or deadline lands
-                // mid-chunk, not after it), then publish local carries.
-                let solved = timed(&mut tally.solve, || {
-                    self.plan
-                        .solve()
-                        .solve_in_place_sliced(chunk, &mut || !abort.is_aborted())
-                });
-                tally.slices += solved.slices;
-                if !solved.completed {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                let locals = carries_of(chunk, k);
-                if check_finite && !all_finite(&locals) {
-                    let _ = failure.set(EngineError::NonFiniteCarry { chunk: c });
-                    abort.trigger();
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                slots[c]
-                    .local
-                    .set(locals.clone())
-                    .expect("sole producer of local carries");
-                if c == 0 {
-                    slots[0]
-                        .global
-                        .set(locals)
-                        .expect("sole producer of chunk 0 globals");
-                    continue;
-                }
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Lookback, _worker, c, Some(abort));
-                // Variable look-back: walk back to the most recent
-                // published globals, then fix forward through the
-                // published locals. `None` means the run was aborted while
-                // we waited on carries that will never be published.
-                let Some(g) = timed(&mut tally.lookback, || {
-                    resolve_global(
-                        &self.plan,
-                        &slots,
-                        c - 1,
-                        m,
-                        n,
-                        &hops,
-                        &spins,
-                        &max_depth,
-                        &resets,
-                        abort,
-                    )
-                }) else {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                };
-                timed(&mut tally.correct, || self.plan.correct_chunk(chunk, &g));
-                let globals = carries_of(chunk, k);
-                if check_finite && !all_finite(&globals) {
-                    let _ = failure.set(EngineError::NonFiniteCarry { chunk: c });
-                    abort.trigger();
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                // A deeper look-back by a successor may already have
-                // derived (and published) our globals.
-                let _ = slots[c].global.set(globals);
-            }
-            tally.flush(&clocks);
+        let start = c * self.chunk_size();
+        timed(fir_nanos, || {
+            fir_in_place(self.correction.fir(), prev, start, chunk)
         });
-
-        outcome.map_err(RunError::into_engine_error)?;
-        if let Some(e) = failure.into_inner() {
-            return Err(e);
-        }
-        Ok(RunStats {
-            rows: 1,
-            chunks: num_chunks as u64,
-            lookback_hops: hops.load(Ordering::Relaxed),
-            spin_waits: spins.load(Ordering::Relaxed),
-            max_lookback_depth: max_depth.load(Ordering::Relaxed),
-            threads: pool.width() as u64,
-            aborts: aborts.load(Ordering::Relaxed),
-            workers_recovered: pool.recovered_workers() - recovered_before,
-            fir_nanos: clocks.fir.load(Ordering::Relaxed),
-            solve_nanos: clocks.solve.load(Ordering::Relaxed),
-            lookback_nanos: clocks.lookback.load(Ordering::Relaxed),
-            correct_nanos: clocks.correct.load(Ordering::Relaxed),
-            plan_cache_hits: self.plan_cache_hit as u64,
-            plan_cache_misses: !self.plan_cache_hit as u64,
-            plan_kind: self.plan.kind(),
-            fused_chunks: 0,
-            correction_taps: self.plan.correction_taps() as u64,
-            carry_resets: resets.load(Ordering::Relaxed),
-            kernel: self.plan.solve().kind(),
-            solve_slices: clocks.slices.load(Ordering::Relaxed),
-            reset_chunks: 0,
-            skipped_chunks: 0,
-        })
     }
 
-    /// The two-pass strategy: parallel map + local solves, one sequential
-    /// carry chain, parallel correction (the dependency structure of
-    /// [`plr_core::phase2::propagate_decoupled`] on real threads).
-    fn run_two_pass(
+    fn solve(
         &self,
-        data: &mut [T],
-        pool: &WorkerPool,
-        ctl: &RunControl,
-    ) -> Result<RunStats, EngineError> {
-        let m = self.config.chunk_size;
-        let k = self.signature.order();
-        let n = data.len();
-        let num_chunks = n.div_ceil(m);
-        let boundaries = self.stash_boundaries(data, m, num_chunks);
-        let check_finite = self.config.check_finite && T::IS_FLOAT;
-        let clocks = PhaseClocks::default();
-        let aborts = AtomicU64::new(0);
-        let recovered_before = pool.recovered_workers();
-
-        // Pass A: in-place map + local solves in parallel.
-        let tickets = Tickets::new(num_chunks);
-        let base = SendPtr::new(data.as_mut_ptr());
-        pool.run_ctl(ctl, |_worker, abort| {
-            let mut tally = PhaseTally::default();
-            while let Some(c) = tickets.claim() {
-                if abort.is_aborted() {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                let start = c * m;
-                let len = m.min(n - start);
-                // SAFETY: unique tickets make the chunks disjoint.
-                let chunk = unsafe { std::slice::from_raw_parts_mut(base.ptr().add(start), len) };
-                timed(&mut tally.fir, || {
-                    self.fir_chunk(chunk, c, start, &boundaries)
-                });
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Solve, _worker, c, Some(abort));
-                let solved = timed(&mut tally.solve, || {
-                    self.plan
-                        .solve()
-                        .solve_in_place_sliced(chunk, &mut || !abort.is_aborted())
-                });
-                tally.slices += solved.slices;
-                if !solved.completed {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-            }
-            tally.flush(&clocks);
-        })
-        .map_err(RunError::into_engine_error)?;
-
-        // Sequential chain: globals of chunk c from globals of c-1. This
-        // is worker 0's look-back stage; it runs outside the pool, so it
-        // gets its own unwind guard to keep the "panics become errors"
-        // contract uniform across strategies.
-        let chain_start = Instant::now();
-        let chain = catch_unwind(AssertUnwindSafe(
-            || -> Result<(Vec<Vec<T>>, u64, u64), EngineError> {
-                let mut hops = 0u64;
-                let mut resets = 0u64;
-                let mut globals: Vec<Vec<T>> = Vec::with_capacity(num_chunks);
-                globals.push(carries_of(&data[..m.min(n)], k));
-                for c in 1..num_chunks {
-                    // The chain runs outside the pool, so the watchdog
-                    // cannot see it; poll the control directly instead.
-                    ctl.status().map_err(RunError::into_engine_error)?;
-                    #[cfg(feature = "fault-inject")]
-                    crate::fault::check(crate::fault::FaultSite::Lookback, 0, c, None);
-                    let start = c * m;
-                    let end = (start + m).min(n);
-                    let locals = carries_of(&data[start..end], k);
-                    if check_finite && !all_finite(&locals) {
-                        return Err(EngineError::NonFiniteCarry { chunk: c });
-                    }
-                    // When chunk `c`'s correction cannot reach its own
-                    // carries (truncated plan, long enough chunk), its
-                    // globals equal its locals — the chain resets for free.
-                    if self.plan.resets_carries(end - start) {
-                        resets += 1;
-                        globals.push(locals);
-                    } else {
-                        globals.push(self.plan.fixup_carries(
-                            &globals[c - 1],
-                            &locals,
-                            end - start,
-                        ));
-                        hops += 1;
-                    }
-                }
-                Ok((globals, hops, resets))
-            },
-        ));
-        let (globals, hops, carry_resets) = match chain {
-            Ok(Ok(v)) => v,
-            Ok(Err(e)) => return Err(e),
-            Err(payload) => {
-                return Err(WorkerPanic::from_payload(0, payload.as_ref()).into_engine_error())
-            }
-        };
-        let lookback_nanos = chain_start.elapsed().as_nanos() as u64;
-
-        // Pass B: correct every chunk with its predecessor's globals, in
-        // parallel (chunk 0 is already global).
-        let tickets = Tickets::new(num_chunks.saturating_sub(1));
-        let base = SendPtr::new(data.as_mut_ptr());
-        let globals = &globals;
-        pool.run_ctl(ctl, |_worker, abort| {
-            let mut tally = PhaseTally::default();
-            while let Some(t) = tickets.claim() {
-                if abort.is_aborted() {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                let c = t + 1;
-                let start = c * m;
-                let len = m.min(n - start);
-                // SAFETY: unique tickets make the chunks disjoint.
-                let chunk = unsafe { std::slice::from_raw_parts_mut(base.ptr().add(start), len) };
-                timed(&mut tally.correct, || {
-                    self.plan.correct_chunk(chunk, &globals[c - 1])
-                });
-            }
-            tally.flush(&clocks);
-        })
-        .map_err(RunError::into_engine_error)?;
-
-        Ok(RunStats {
-            rows: 1,
-            chunks: num_chunks as u64,
-            lookback_hops: hops,
-            spin_waits: 0,
-            max_lookback_depth: 1,
-            threads: pool.width() as u64,
-            aborts: aborts.load(Ordering::Relaxed),
-            workers_recovered: pool.recovered_workers() - recovered_before,
-            fir_nanos: clocks.fir.load(Ordering::Relaxed),
-            solve_nanos: clocks.solve.load(Ordering::Relaxed),
-            lookback_nanos,
-            correct_nanos: clocks.correct.load(Ordering::Relaxed),
-            plan_cache_hits: self.plan_cache_hit as u64,
-            plan_cache_misses: !self.plan_cache_hit as u64,
-            plan_kind: self.plan.kind(),
-            fused_chunks: 0,
-            correction_taps: self.plan.correction_taps() as u64,
-            carry_resets,
-            kernel: self.plan.solve().kind(),
-            solve_slices: clocks.slices.load(Ordering::Relaxed),
-            reset_chunks: 0,
-            skipped_chunks: 0,
-        })
+        c: usize,
+        chunk: &mut [T],
+        _prev: Option<&[T]>,
+        tally: &mut RunStats,
+        keep_going: &mut dyn FnMut() -> bool,
+    ) -> Option<Step<T>> {
+        let solved = self
+            .correction
+            .solve()
+            .solve_in_place_sliced(chunk, keep_going);
+        tally.solve_slices += solved.slices;
+        solved
+            .completed
+            .then(|| Step::zero_history(c, carries_of(chunk, self.order())))
     }
-}
 
-/// Whether every carry in the slice widens to a finite `f64` (always true
-/// for integer elements).
-pub(crate) fn all_finite<T: Element>(carries: &[T]) -> bool {
-    carries.iter().all(|&c| c.to_f64().is_finite())
-}
-
-// The in-place FIR kernel moved into plr-core's register-blocked kernel
-// layer (branch-free steady state, unrolled small tap counts); the runner
-// and the batch executor share it from there.
-pub(crate) use plr_core::blocked::fir_in_place;
-
-/// Derives the global carries of chunk `j` from published state: walks back
-/// to the nearest chunk with published globals (spinning on chunk 0's if
-/// necessary), then fixes forward through published local carries.
-///
-/// When the plan's correction cannot reach chunk `j`'s own carries (a
-/// decay-truncated plan whose effective factors die out before the chunk's
-/// last `k` elements), chunk `j`'s globals equal its locals — the look-back
-/// chain resets there and the walk collapses to a single wait.
-///
-/// Returns `None` when the run was aborted while waiting on carries that
-/// will never be published (a dead worker claimed the chunk that owned
-/// them) — the caller must stop processing its chunk.
-#[allow(clippy::too_many_arguments)]
-fn resolve_global<T: Element>(
-    plan: &CorrectionPlan<T>,
-    slots: &[Slot<T>],
-    j: usize,
-    m: usize,
-    n: usize,
-    hops: &AtomicU64,
-    spins: &AtomicU64,
-    max_depth: &AtomicU64,
-    resets: &AtomicU64,
-    abort: &AbortSignal,
-) -> Option<Vec<T>> {
-    let len_j = m.min(n - j * m);
-    if j > 0 && plan.resets_carries(len_j) {
-        let locals = wait_for(&slots[j].local, spins, abort)?;
-        resets.fetch_add(1, Ordering::Relaxed);
-        max_depth.fetch_max(1, Ordering::Relaxed);
-        return Some(locals.clone());
+    fn fixup(&self, _c: usize, len: usize, prev: &[T], local: &[T]) -> Vec<T> {
+        self.correction.fixup_carries(prev, local, len)
     }
-    // Find the deepest published globals at or before j.
-    let mut start = j;
-    loop {
-        if slots[start].global.get().is_some() {
-            break;
-        }
-        if start == 0 {
-            // Chunk 0 publishes unconditionally right after its local
-            // solve; spin until it lands (or the run dies).
-            wait_for(&slots[0].global, spins, abort)?;
-            break;
-        }
-        start -= 1;
-    }
-    let mut g = slots[start]
-        .global
-        .get()
-        .expect("checked or awaited above")
-        .clone();
-    hops.fetch_add(1, Ordering::Relaxed);
-    max_depth.fetch_max((j - start + 1) as u64, Ordering::Relaxed);
-    for (h, slot) in slots.iter().enumerate().take(j + 1).skip(start + 1) {
-        let locals = wait_for(&slot.local, spins, abort)?;
-        let chunk_len = m.min(n - h * m);
-        g = plan.fixup_carries(&g, locals, chunk_len);
-        hops.fetch_add(1, Ordering::Relaxed);
-    }
-    Some(g)
-}
 
-/// Spins (with yields) until a carry set is published, or `None` once the
-/// run is aborted. The abort flag is polled only on the yield slots (every
-/// 64th iteration), keeping the fast path a pure `spin_loop`.
-pub(crate) fn wait_for<'a, T>(
-    cell: &'a OnceLock<Vec<T>>,
-    spins: &AtomicU64,
-    abort: &AbortSignal,
-) -> Option<&'a Vec<T>> {
-    let mut tries = 0u64;
-    loop {
-        if let Some(v) = cell.get() {
-            if tries > 0 {
-                spins.fetch_add(tries, Ordering::Relaxed);
-            }
-            return Some(v);
-        }
-        tries += 1;
-        if tries.is_multiple_of(64) {
-            if abort.is_aborted() {
-                spins.fetch_add(tries, Ordering::Relaxed);
-                return None;
-            }
-            std::thread::yield_now();
-        } else {
-            std::hint::spin_loop();
+    fn correct(&self, _c: usize, chunk: &mut [T], g: &[T]) {
+        self.correction.correct_chunk(chunk, g);
+    }
+
+    fn resets_carries(&self, len: usize) -> bool {
+        self.correction.resets_carries(len)
+    }
+
+    fn base_stats(&self) -> RunStats {
+        RunStats {
+            plan_cache_hits: self.cache_hit as u64,
+            plan_cache_misses: !self.cache_hit as u64,
+            plan_kind: self.correction.kind(),
+            correction_taps: self.correction.correction_taps() as u64,
+            kernel: self.correction.solve().kind(),
+            ..RunStats::default()
         }
     }
 }
@@ -822,7 +527,6 @@ mod tests {
                     RunnerConfig {
                         chunk_size: 1 << 10,
                         threads,
-                        strategy: Strategy::default(),
                         ..Default::default()
                     },
                     0.0,
@@ -840,7 +544,6 @@ mod tests {
                 RunnerConfig {
                     chunk_size: 4096,
                     threads: 4,
-                    strategy: Strategy::default(),
                     ..Default::default()
                 },
                 1e-3,
@@ -891,41 +594,32 @@ mod tests {
     #[test]
     fn check_finite_flags_divergent_float_runs() {
         // y_i = 2·y_{i-1} + x_i diverges; f32 overflows to +inf inside the
-        // first chunk, so every strategy must report a non-finite carry.
+        // first chunk, so the run must report a non-finite carry.
         let sig: Signature<f32> = "1:2".parse().unwrap();
         let input = vec![1.0f32; 4096];
         let num_chunks = input.len() / 256;
-        for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-            let strict = ParallelRunner::with_config(
-                sig.clone(),
-                RunnerConfig {
-                    chunk_size: 256,
-                    threads: 4,
-                    strategy,
-                    check_finite: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            match strict.run(&input) {
-                Err(EngineError::NonFiniteCarry { chunk }) => assert!(chunk < num_chunks),
-                other => panic!("expected NonFiniteCarry ({strategy:?}), got {other:?}"),
-            }
-            // The check is opt-in: by default the same run completes and
-            // silently propagates the non-finite values.
-            let lax = ParallelRunner::with_config(
-                sig.clone(),
-                RunnerConfig {
-                    chunk_size: 256,
-                    threads: 4,
-                    strategy,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let out = lax.run(&input).unwrap();
-            assert!(!out.last().unwrap().is_finite(), "{strategy:?}");
+        let config = RunnerConfig {
+            chunk_size: 256,
+            threads: 4,
+            ..Default::default()
+        };
+        let strict = ParallelRunner::with_config(
+            sig.clone(),
+            RunnerConfig {
+                check_finite: true,
+                ..config
+            },
+        )
+        .unwrap();
+        match strict.run(&input) {
+            Err(EngineError::NonFiniteCarry { chunk }) => assert!(chunk < num_chunks),
+            other => panic!("expected NonFiniteCarry, got {other:?}"),
         }
+        // The check is opt-in: by default the same run completes and
+        // silently propagates the non-finite values.
+        let lax = ParallelRunner::with_config(sig, config).unwrap();
+        let out = lax.run(&input).unwrap();
+        assert!(!out.last().unwrap().is_finite());
     }
 
     #[test]
@@ -950,7 +644,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 64,
                 threads: 4,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
             0.0,
@@ -961,7 +654,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 64,
                 threads: 4,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
             0.0,
@@ -972,7 +664,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 64,
                 threads: 4,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
             0.0,
@@ -983,7 +674,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 64,
                 threads: 4,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
             0.0,
@@ -1005,7 +695,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 64,
                 threads: 3,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
         )
@@ -1030,7 +719,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 2048,
                 threads: 8,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
         )
@@ -1049,7 +737,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 1024,
                 threads: 4,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
         )
@@ -1067,32 +754,23 @@ mod tests {
         let mut input: Vec<f64> = (0..200_000)
             .map(|i| ((i % 13) as f64) * 0.1 - 0.6)
             .collect();
-        for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-            let runner = ParallelRunner::with_config(
-                sig.clone(),
-                RunnerConfig {
-                    chunk_size: 4096,
-                    threads: 4,
-                    strategy,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let stats = runner.run_in_place(&mut input).unwrap();
-            assert!(
-                stats.solve_nanos > 0,
-                "{strategy:?}: local solve must be timed"
-            );
-            assert!(stats.fir_nanos > 0, "{strategy:?}: FIR stage must be timed");
-            assert!(
-                stats.correct_nanos > 0,
-                "{strategy:?}: correction must be timed"
-            );
-            assert!(
-                stats.busy_nanos() >= stats.solve_nanos,
-                "{strategy:?}: total covers the parts"
-            );
-        }
+        let runner = ParallelRunner::with_config(
+            sig,
+            RunnerConfig {
+                chunk_size: 4096,
+                threads: 4,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let stats = runner.run_in_place(&mut input).unwrap();
+        assert!(stats.solve_nanos > 0, "local solve must be timed");
+        assert!(stats.fir_nanos > 0, "FIR stage must be timed");
+        assert!(stats.correct_nanos > 0, "correction must be timed");
+        assert!(
+            stats.busy_nanos() >= stats.solve_nanos,
+            "total covers the parts"
+        );
     }
 
     #[test]
@@ -1103,7 +781,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 1024,
                 threads: 2,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
         )
@@ -1123,7 +800,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 512,
                 threads: 4,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
         )
@@ -1147,7 +823,6 @@ mod tests {
                 RunnerConfig {
                     chunk_size: 2,
                     threads: 1,
-                    strategy: Strategy::default(),
                     ..Default::default()
                 }
             ),
@@ -1158,7 +833,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 3,
                 threads: 1,
-                strategy: Strategy::default(),
                 ..Default::default()
             }
         )
@@ -1173,7 +847,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 1024,
                 threads: 4,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
             1e-6,
@@ -1185,24 +858,17 @@ mod tests {
         // p - 1 > m: the boundary stash must reach past the immediately
         // preceding chunk into earlier ones.
         let sig: Signature<i64> = "1,1,1,1,1,1,1:1".parse().unwrap();
-        for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-            let input: Vec<i64> = (0..1000).map(|i| (i % 9) as i64 - 4).collect();
-            let runner = ParallelRunner::with_config(
-                sig.clone(),
-                RunnerConfig {
-                    chunk_size: 4,
-                    threads: 4,
-                    strategy,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                runner.run(&input).unwrap(),
-                serial::run(&sig, &input),
-                "{strategy:?}"
-            );
-        }
+        let input: Vec<i64> = (0..1000).map(|i| (i % 9) as i64 - 4).collect();
+        let runner = ParallelRunner::with_config(
+            sig.clone(),
+            RunnerConfig {
+                chunk_size: 4,
+                threads: 4,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(runner.run(&input).unwrap(), serial::run(&sig, &input));
     }
 
     #[test]
@@ -1229,69 +895,6 @@ mod tests {
     }
 
     #[test]
-    fn two_pass_strategy_matches_serial() {
-        for threads in [1usize, 4] {
-            for text in ["1:1", "1:2,-1", "1:0,0,1"] {
-                check::<i64>(
-                    text,
-                    77_777,
-                    RunnerConfig {
-                        chunk_size: 1024,
-                        threads,
-                        strategy: Strategy::TwoPass,
-                        ..Default::default()
-                    },
-                    0.0,
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn two_pass_and_lookback_agree_exactly_on_ints() {
-        let sig: Signature<i64> = "1:3,-3,1".parse().unwrap();
-        let input: Vec<i64> = (0..120_000).map(|i| (i % 17) as i64 - 8).collect();
-        let base = RunnerConfig {
-            chunk_size: 4096,
-            threads: 4,
-            strategy: Strategy::default(),
-            ..Default::default()
-        };
-        let a = ParallelRunner::with_config(sig.clone(), base)
-            .unwrap()
-            .run(&input)
-            .unwrap();
-        let two = RunnerConfig {
-            strategy: Strategy::TwoPass,
-            ..base
-        };
-        let b = ParallelRunner::with_config(sig, two)
-            .unwrap()
-            .run(&input)
-            .unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn two_pass_has_no_spin_waits() {
-        let sig: Signature<i64> = "1:1".parse().unwrap();
-        let runner = ParallelRunner::with_config(
-            sig,
-            RunnerConfig {
-                chunk_size: 512,
-                threads: 8,
-                strategy: Strategy::TwoPass,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mut data: Vec<i64> = (0..50_000).map(|i| i as i64 % 5).collect();
-        let stats = runner.run_in_place(&mut data).unwrap();
-        assert_eq!(stats.spin_waits, 0);
-        assert_eq!(stats.lookback_hops, stats.chunks - 1);
-    }
-
-    #[test]
     fn single_thread_equals_multi_thread_for_ints() {
         let sig: Signature<i64> = "1:2,-1".parse().unwrap();
         let input: Vec<i64> = (0..50_000).map(|i| (i % 31) as i64 - 15).collect();
@@ -1300,7 +903,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 4096,
                 threads: 1,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
         )
@@ -1312,7 +914,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 4096,
                 threads: 8,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
         )
@@ -1342,45 +943,39 @@ mod tests {
     fn uncancelled_token_changes_nothing() {
         let sig: Signature<i64> = "1:3,-3,1".parse().unwrap();
         let input: Vec<i64> = (0..50_000).map(|i| (i % 13) as i64 - 6).collect();
-        for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-            let runner = ParallelRunner::with_config(
-                sig.clone(),
-                RunnerConfig {
-                    chunk_size: 1024,
-                    threads: 4,
-                    strategy,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let token = CancelToken::new();
-            let got = runner.run_with_cancel(&input, &token).unwrap();
-            assert_eq!(got, serial::run(&sig, &input), "{strategy:?}");
-        }
+        let runner = ParallelRunner::with_config(
+            sig.clone(),
+            RunnerConfig {
+                chunk_size: 1024,
+                threads: 4,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let token = CancelToken::new();
+        let got = runner.run_with_cancel(&input, &token).unwrap();
+        assert_eq!(got, serial::run(&sig, &input));
     }
 
     #[test]
-    fn expired_deadline_rejects_the_run_for_both_strategies() {
+    fn expired_deadline_rejects_the_run() {
         let sig: Signature<i64> = "1:2,-1".parse().unwrap();
         let input: Vec<i64> = (0..10_000).map(|i| (i % 5) as i64).collect();
-        for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-            let runner = ParallelRunner::with_config(
-                sig.clone(),
-                RunnerConfig {
-                    chunk_size: 512,
-                    threads: 4,
-                    strategy,
-                    deadline: Some(Duration::ZERO),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            match runner.run(&input) {
-                Err(EngineError::DeadlineExceeded { deadline }) => {
-                    assert_eq!(deadline, Duration::ZERO, "{strategy:?}")
-                }
-                other => panic!("expected DeadlineExceeded ({strategy:?}), got {other:?}"),
+        let runner = ParallelRunner::with_config(
+            sig,
+            RunnerConfig {
+                chunk_size: 512,
+                threads: 4,
+                deadline: Some(Duration::ZERO),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        match runner.run(&input) {
+            Err(EngineError::DeadlineExceeded { deadline }) => {
+                assert_eq!(deadline, Duration::ZERO)
             }
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
     }
 

@@ -79,8 +79,7 @@ pub struct RunStats {
     /// Wall time spent in per-chunk local solves, summed across workers
     /// (nanoseconds).
     pub solve_nanos: u64,
-    /// Wall time spent resolving global carries — the look-back walk in
-    /// the pipeline strategy, the sequential chain in two-pass — summed
+    /// Wall time spent resolving global carries by look-back, summed
     /// across workers (nanoseconds).
     pub lookback_nanos: u64,
     /// Wall time spent applying n-nacci corrections, summed across
@@ -117,7 +116,7 @@ pub struct RunStats {
     /// the chunk continued from real history — serial-equal work, no
     /// local solve, no matrix carry, no correction pass. Chunk 0 always
     /// counts (its history is the zero state). Zero for constant-path
-    /// runs and for the two-pass strategy, which never fuses.
+    /// runs, which never fuse.
     pub fused_chunks: u64,
     /// Chunks of a segmented run that contained at least one segment
     /// boundary (their tail past the last in-chunk reset was globally

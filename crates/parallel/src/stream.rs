@@ -176,6 +176,8 @@ pub struct RowStream<T> {
     handle: RunHandle,
     /// Pool width at launch, reported in the aggregate stats.
     threads: u64,
+    /// The row length the task's plan binds, checked at push time.
+    bound_len: Option<usize>,
 }
 
 impl<T> std::fmt::Debug for RowStream<T> {
@@ -221,6 +223,7 @@ impl<T: Element> RowStream<T> {
         });
         let run_token = CancelToken::new();
         let threads = pool.width() as u64;
+        let bound_len = task.bound_len();
         let handle = {
             let shared = Arc::clone(&shared);
             let task = task.clone();
@@ -259,6 +262,7 @@ impl<T: Element> RowStream<T> {
             run_token,
             handle,
             threads,
+            bound_len,
         }
     }
 
@@ -278,12 +282,16 @@ impl<T: Element> RowStream<T> {
     /// the solved buffer back with [`RowHandle::join`]).
     ///
     /// Blocks while the in-flight window is full — that is the
-    /// backpressure contract. Rows may have any length, including
-    /// lengths that differ between pushes.
+    /// backpressure contract. Rows of a constant-signature stream may
+    /// have any length, including lengths that differ between pushes;
+    /// a stream whose plan binds the row length (time-varying or
+    /// segmented) takes only rows of that length.
     ///
-    /// Pushing onto a closed or dead stream does not block: the returned
-    /// handle is already resolved to [`EngineError::Cancelled`] (closed)
-    /// or the stream's fatal error (dead), with the buffer untouched.
+    /// Pushing onto a closed or dead stream, or pushing a row of the wrong
+    /// length, does not block: the returned handle is already resolved to
+    /// [`EngineError::Cancelled`] (closed), the stream's fatal error
+    /// (dead), or [`EngineError::LengthMismatch`] (wrong length), with the
+    /// buffer untouched.
     pub fn push_row(&self, data: Vec<T>) -> RowHandle<T> {
         self.push_row_ctl(data, RunControl::new())
     }
@@ -368,6 +376,11 @@ impl<T: Element> RowStream<T> {
         };
         let deadline = budget.map(|b| Instant::now() + b);
         let inner = Arc::new(RowInner::new());
+        let got = data.len();
+        if let Some(expected) = self.bound_len.filter(|&len| len != got) {
+            let err = EngineError::LengthMismatch { expected, got };
+            return Ok(RowHandle::resolved(inner, cancel, usize::MAX, data, err));
+        }
         let mut state = lock_recover(&self.shared.state);
         loop {
             if state.closed {
@@ -744,7 +757,8 @@ impl<T> std::fmt::Debug for RowHandle<T> {
 }
 
 impl<T: Element> RowHandle<T> {
-    /// A handle born already resolved (push onto a closed/dead stream).
+    /// A handle born already resolved (a wrong-length row, or a push onto
+    /// a closed/dead stream).
     fn resolved(
         inner: Arc<RowInner<T>>,
         cancel: CancelToken,
@@ -762,7 +776,8 @@ impl<T: Element> RowHandle<T> {
     }
 
     /// The row's submission index (0-based, in push order). Pushes that
-    /// were rejected outright (closed/dead stream) report `usize::MAX`.
+    /// were rejected outright (wrong length, closed/dead stream) report
+    /// `usize::MAX`.
     pub fn index(&self) -> usize {
         self.index
     }

@@ -1,35 +1,29 @@
 //! Multithreaded execution of time-varying recurrences.
 //!
 //! [`VaryingRunner`] maps the matrix-carry lowering
-//! ([`plr_core::varying`]) onto the same chunked machinery the
+//! ([`plr_core::varying`]) onto the same chunked pipeline the
 //! constant-coefficient [`ParallelRunner`](crate::ParallelRunner) uses:
 //! workers claim chunks from an atomic ticket counter, solve them locally
 //! from zero state, and stitch the chunks together through per-chunk
 //! *affine carry maps* `g ↦ M_c·g + local_c` instead of n-nacci
 //! correction factors. The transition matrices `M_c` depend only on the
-//! coefficients, so they are precomputed once per
-//! [`VaryingPlan`] and shared by every run.
+//! coefficients, so they are precomputed once per [`VaryingPlan`] and
+//! shared by every run.
 //!
-//! Both carry strategies carry over:
-//!
-//! * [`Strategy::LookbackPipeline`] — single pass; each worker publishes
-//!   its chunk's local state, resolves its predecessor's global state by
-//!   variable look-back over published carries, corrects its chunk with a
-//!   forward companion pass, and publishes its own global state. Workers
-//!   additionally *fuse* opportunistically: when a chunk's predecessor
-//!   global is already published at claim time (always true for chunk 0),
-//!   the chunk is solved directly from real history — no local publish,
-//!   no correction pass, no matrix math. On one thread every chunk fuses
-//!   and the run degenerates to the serial sweep, which is exactly the
-//!   work-optimal behavior. Float elements fuse only on a width-1 pool:
-//!   fused and corrected solves round differently, and fusing on a race
-//!   would make float outputs depend on scheduler timing.
-//! * [`Strategy::TwoPass`] — parallel local solves, one sequential
-//!   `O(chunks·k²)` affine-map chain, parallel correction.
-//!
-//! The look-back resolver must tolerate fused chunks, which never publish
-//! local state: it waits on *either* carry cell of a chunk and restarts
-//! the walk from a global whenever one lands first.
+//! Each worker publishes its chunk's local state, resolves its
+//! predecessor's global state by variable look-back over published
+//! carries, corrects its chunk with a forward companion pass, and
+//! publishes its own global state. Workers additionally *fuse*
+//! opportunistically: when a chunk's predecessor global is already
+//! published at claim time (always true for chunk 0), the chunk is solved
+//! directly from real history — no local publish, no correction pass, no
+//! matrix math. On one thread every chunk fuses and the run degenerates
+//! to the serial sweep, which is exactly the work-optimal behavior. Float
+//! elements fuse only on a width-1 pool: fused and corrected solves round
+//! differently, and fusing on a race would make float outputs depend on
+//! scheduler timing. Fused chunks never publish local state; the
+//! pipeline's resolver waits on *either* carry cell of a chunk and
+//! restarts its walk from the chunk's global when it has no local.
 //!
 //! Cancel tokens, deadlines, `check_finite`, fault injection, and the
 //! batch/stream layers ([`VaryingRunner::run_rows`],
@@ -38,21 +32,14 @@
 //! same observable semantics.
 
 use crate::batch::RowTask;
-use crate::pool::{
-    resolve_threads, AbortSignal, CancelToken, RunControl, RunError, SendPtr, Tickets, WorkerPanic,
-    WorkerPool,
-};
-use crate::runner::{all_finite, timed, PhaseClocks, PhaseTally, RunnerConfig, Slot, Strategy};
+use crate::pipeline::{CarryAlgebra, RowAlgebra, Step};
+use crate::runner::{Runner, RunnerConfig};
 use crate::stats::RunStats;
-use crate::stream::RowStream;
 use plr_core::element::Element;
 use plr_core::error::EngineError;
 use plr_core::plan::PlanKind;
-use plr_core::varying::{advance_state, VaryingPlan, VaryingSignature};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use plr_core::varying::{VaryingPlan, VaryingSignature};
+use std::sync::Arc;
 
 /// A multithreaded executor for one time-varying signature: transition
 /// matrices and constant-chunk kernels precomputed once, worker threads
@@ -75,15 +62,7 @@ use std::time::Instant;
 /// assert_eq!(y, vec![1, 1, 4, 5]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
-pub struct VaryingRunner<T> {
-    /// The precomputed lowering: per-chunk transition matrices and
-    /// deduplicated constant-row kernels.
-    plan: Arc<VaryingPlan<T>>,
-    config: RunnerConfig,
-    /// The persistent pool, created on first use.
-    pool: OnceLock<Arc<WorkerPool>>,
-}
+pub type VaryingRunner<T> = Runner<VaryingPlan<T>>;
 
 impl<T: Element> VaryingRunner<T> {
     /// Creates a runner with the default configuration.
@@ -111,654 +90,98 @@ impl<T: Element> VaryingRunner<T> {
         config: RunnerConfig,
     ) -> Result<Self, EngineError> {
         let plan = VaryingPlan::build(signature, config.chunk_size)?;
-        Ok(VaryingRunner {
-            plan: Arc::new(plan),
-            config,
-            pool: OnceLock::new(),
-        })
-    }
-
-    /// The configured worker count (resolving `0` to the CPU count).
-    pub fn threads(&self) -> usize {
-        resolve_threads(self.config.threads)
-    }
-
-    /// The runner's configuration.
-    pub fn config(&self) -> &RunnerConfig {
-        &self.config
+        Ok(Self::from_plan_and_config(plan, config))
     }
 
     /// The time-varying signature this runner executes.
     pub fn signature(&self) -> &VaryingSignature<T> {
-        self.plan.signature()
+        self.plan().signature()
     }
 
     /// The precomputed matrix-carry plan (shared with every run and with
     /// rows dispatched through [`VaryingRunner::run_rows`] /
     /// [`VaryingRunner::stream`]).
     pub fn plan(&self) -> &Arc<VaryingPlan<T>> {
-        &self.plan
+        self.shared_plan()
+    }
+}
+
+/// The matrix-carry algebra: a chunk's carry is its affine map
+/// `g ↦ M_c·g + local_c`, applied by a forward companion pass.
+impl<T: Element> CarryAlgebra for VaryingPlan<T> {
+    type Elem = T;
+
+    fn chunk_size(&self) -> usize {
+        VaryingPlan::chunk_size(self)
     }
 
-    /// The persistent pool, spawning it on first use.
-    fn pool(&self) -> &Arc<WorkerPool> {
-        self.pool
-            .get_or_init(|| Arc::new(WorkerPool::new(self.threads())))
+    fn bound_len(&self) -> Option<usize> {
+        Some(self.len())
     }
 
-    /// Computes the recurrence over `input`, allocating the output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::LengthMismatch`] when `input` does not have
-    /// the signature's bound length, [`EngineError::WorkerPanicked`] when
-    /// a worker (or the calling thread) panicked mid-run,
-    /// [`EngineError::NonFiniteCarry`] when [`RunnerConfig::check_finite`]
-    /// is on and a chunk produced a NaN or infinite carry, and
-    /// [`EngineError::DeadlineExceeded`] when [`RunnerConfig::deadline`]
-    /// is set and the run outlived it. On error the pool survives and the
-    /// runner stays usable.
-    pub fn run(&self, input: &[T]) -> Result<Vec<T>, EngineError> {
-        let mut data = input.to_vec();
-        self.run_in_place(&mut data)?;
-        Ok(data)
+    /// Chunk 0 always fuses (its history is the zero state). Later chunks
+    /// fuse whenever their predecessor's globals are published at claim
+    /// time — integers freely, since their arithmetic is exact either
+    /// way, but floats only on a width-1 pool, where every chunk fuses
+    /// deterministically and the race cannot decide the rounding.
+    fn fuses(&self, width: usize) -> bool {
+        !T::IS_FLOAT || width == 1
     }
 
-    /// Like [`VaryingRunner::run`], but observing a caller-held
-    /// [`CancelToken`] — same semantics as
-    /// [`ParallelRunner::run_with_cancel`](crate::ParallelRunner::run_with_cancel).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Cancelled`] on cancellation, plus everything
-    /// [`VaryingRunner::run`] can return.
-    pub fn run_with_cancel(
+    fn solve(
         &self,
-        input: &[T],
-        cancel: &CancelToken,
-    ) -> Result<Vec<T>, EngineError> {
-        let mut data = input.to_vec();
-        self.run_in_place_with_cancel(&mut data, cancel)?;
-        Ok(data)
+        c: usize,
+        chunk: &mut [T],
+        prev: Option<&[T]>,
+        tally: &mut RunStats,
+        keep_going: &mut dyn FnMut() -> bool,
+    ) -> Option<Step<T>> {
+        let out = self.solve_chunk(c, prev, chunk, keep_going);
+        tally.solve_slices += out.slices;
+        if !out.completed {
+            return None;
+        }
+        if c == 0 || prev.is_some() {
+            // Fused: solved with real history, so the state is global
+            // immediately — no local publish, no correction.
+            tally.fused_chunks += 1;
+            return Some(Step::Global(out.state, 0));
+        }
+        Some(Step::Local(out.state))
     }
 
-    /// Computes the recurrence in place, returning runtime statistics.
-    ///
-    /// # Errors
-    ///
-    /// See [`VaryingRunner::run`]; on error `data` is left partially
-    /// processed.
-    pub fn run_in_place(&self, data: &mut [T]) -> Result<RunStats, EngineError> {
-        self.execute(data, None)
+    fn fixup(&self, c: usize, _len: usize, prev: &[T], local: &[T]) -> Vec<T> {
+        self.fixup_state(c, prev, local)
     }
 
-    /// In-place variant of [`VaryingRunner::run_with_cancel`].
-    ///
-    /// # Errors
-    ///
-    /// See [`VaryingRunner::run_with_cancel`]; on error `data` is left
-    /// partially processed.
-    pub fn run_in_place_with_cancel(
-        &self,
-        data: &mut [T],
-        cancel: &CancelToken,
-    ) -> Result<RunStats, EngineError> {
-        self.execute(data, Some(cancel))
+    fn correct(&self, c: usize, chunk: &mut [T], g: &[T]) {
+        self.correct_chunk(c, g, chunk);
     }
 
-    /// Shared entry point: validates the length, builds the run's
-    /// [`RunControl`], and dispatches on the strategy.
-    fn execute(
-        &self,
-        data: &mut [T],
-        cancel: Option<&CancelToken>,
-    ) -> Result<RunStats, EngineError> {
-        if data.len() != self.plan.len() {
-            return Err(EngineError::LengthMismatch {
-                expected: self.plan.len(),
-                got: data.len(),
-            });
-        }
-        if data.is_empty() {
-            return Ok(RunStats {
-                threads: self.threads() as u64,
-                plan_kind: PlanKind::MatrixCarry,
-                kernel: self.plan.aggregate_kernel_kind(),
-                correction_taps: self.plan.order() as u64,
-                ..RunStats::default()
-            });
-        }
-        let mut ctl = RunControl::new();
-        if let Some(token) = cancel {
-            ctl = ctl.with_cancel(token);
-        }
-        if let Some(budget) = self.config.deadline {
-            ctl = ctl.with_deadline(budget);
-        }
-        let pool = self.pool();
-        match self.config.strategy {
-            Strategy::LookbackPipeline => self.run_lookback(data, pool, &ctl),
-            Strategy::TwoPass => self.run_two_pass(data, pool, &ctl),
-        }
-    }
-
-    /// Seeds the stats every strategy shares: the varying path has no FIR
-    /// stage, never touches the correction-plan cache, and reports the
-    /// plan's kernel summary ([`KernelKind::Mixed`] when constant-row
-    /// kernel chunks and varying scalar chunks coexist).
-    fn base_stats(&self, pool: &WorkerPool, num_chunks: usize) -> RunStats {
+    /// The varying path has no FIR stage, never touches the
+    /// correction-plan cache, and reports the plan's kernel summary
+    /// ([`KernelKind::Mixed`](plr_core::kernel::KernelKind::Mixed) when
+    /// constant-row kernel chunks and varying scalar chunks coexist).
+    fn base_stats(&self) -> RunStats {
         RunStats {
-            rows: 1,
-            chunks: num_chunks as u64,
-            threads: pool.width() as u64,
             plan_kind: PlanKind::MatrixCarry,
-            kernel: self.plan.aggregate_kernel_kind(),
-            correction_taps: self.plan.order() as u64,
+            kernel: self.aggregate_kernel_kind(),
+            correction_taps: self.order() as u64,
             ..RunStats::default()
         }
     }
-
-    /// The single-pass decoupled look-back pipeline with opportunistic
-    /// fusion.
-    fn run_lookback(
-        &self,
-        data: &mut [T],
-        pool: &WorkerPool,
-        ctl: &RunControl,
-    ) -> Result<RunStats, EngineError> {
-        let plan = &self.plan;
-        let m = plan.chunk_size();
-        let n = data.len();
-        let k = plan.order();
-        let num_chunks = plan.num_chunks();
-        let check_finite = self.config.check_finite && T::IS_FLOAT;
-
-        let slots: Vec<Slot<T>> = (0..num_chunks).map(|_| Slot::new()).collect();
-        let hops = AtomicU64::new(0);
-        let spins = AtomicU64::new(0);
-        let max_depth = AtomicU64::new(0);
-        let fused = AtomicU64::new(0);
-        let aborts = AtomicU64::new(0);
-        let clocks = PhaseClocks::default();
-        let failure: OnceLock<EngineError> = OnceLock::new();
-        let tickets = Tickets::new(num_chunks);
-        let base = SendPtr::new(data.as_mut_ptr());
-        let recovered_before = pool.recovered_workers();
-
-        let outcome = pool.run_ctl(ctl, |_worker, abort| {
-            let mut tally = PhaseTally::default();
-            while let Some(c) = tickets.claim() {
-                if abort.is_aborted() {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                let start = c * m;
-                let len = m.min(n - start);
-                // SAFETY: tickets are unique, so chunk `c` is exclusively
-                // ours; `base` outlives `pool.run_ctl` (it blocks until
-                // every worker finishes, even when one of them panics).
-                let chunk = unsafe { std::slice::from_raw_parts_mut(base.ptr().add(start), len) };
-                // Fusion probe: chunk 0 always starts from real (zero)
-                // history; later chunks fuse whenever their predecessor's
-                // global state is already published at claim time. Float
-                // chunks only fuse on a width-1 pool (where every chunk
-                // fuses, deterministically): the fused direct solve rounds
-                // differently from local-solve-plus-correction, and letting
-                // the race decide would make float results depend on
-                // scheduling timing. Integer arithmetic is exact either
-                // way, so integers fuse freely.
-                let fusable = c == 0 || !T::IS_FLOAT || pool.width() == 1;
-                let prev: Option<Vec<T>> = if c == 0 {
-                    Some(vec![T::zero(); k])
-                } else if fusable {
-                    slots[c - 1].global.get().cloned()
-                } else {
-                    None
-                };
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Solve, _worker, c, Some(abort));
-                if let Some(state) = prev {
-                    // Fused: solve with real history; the result is global
-                    // immediately — no local publish, no correction.
-                    let out = timed(&mut tally.solve, || {
-                        plan.solve_chunk(c, Some(&state), chunk, &mut || !abort.is_aborted())
-                    });
-                    tally.slices += out.slices;
-                    if !out.completed {
-                        aborts.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                    if check_finite && !all_finite(&out.state) {
-                        let _ = failure.set(EngineError::NonFiniteCarry { chunk: c });
-                        abort.trigger();
-                        aborts.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                    fused.fetch_add(1, Ordering::Relaxed);
-                    slots[c]
-                        .global
-                        .set(out.state)
-                        .expect("sole producer of fused globals");
-                    continue;
-                }
-                // Decoupled: zero-state local solve, publish local state.
-                let out = timed(&mut tally.solve, || {
-                    plan.solve_chunk(c, None, chunk, &mut || !abort.is_aborted())
-                });
-                tally.slices += out.slices;
-                if !out.completed {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                if check_finite && !all_finite(&out.state) {
-                    let _ = failure.set(EngineError::NonFiniteCarry { chunk: c });
-                    abort.trigger();
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                slots[c]
-                    .local
-                    .set(out.state)
-                    .expect("sole producer of local state");
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Lookback, _worker, c, Some(abort));
-                // Variable look-back over published carries (fused chunks
-                // publish globals only; the resolver copes).
-                let Some(g) = timed(&mut tally.lookback, || {
-                    resolve_state(plan, &slots, c - 1, &hops, &spins, &max_depth, abort)
-                }) else {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                };
-                timed(&mut tally.correct, || plan.correct_chunk(c, &g, chunk));
-                let globals = advance_state(&g, chunk, k);
-                if check_finite && !all_finite(&globals) {
-                    let _ = failure.set(EngineError::NonFiniteCarry { chunk: c });
-                    abort.trigger();
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                let _ = slots[c].global.set(globals);
-            }
-            tally.flush(&clocks);
-        });
-
-        outcome.map_err(RunError::into_engine_error)?;
-        if let Some(e) = failure.into_inner() {
-            return Err(e);
-        }
-        Ok(RunStats {
-            lookback_hops: hops.load(Ordering::Relaxed),
-            spin_waits: spins.load(Ordering::Relaxed),
-            max_lookback_depth: max_depth.load(Ordering::Relaxed),
-            aborts: aborts.load(Ordering::Relaxed),
-            workers_recovered: pool.recovered_workers() - recovered_before,
-            fused_chunks: fused.load(Ordering::Relaxed),
-            solve_nanos: clocks.solve.load(Ordering::Relaxed),
-            lookback_nanos: clocks.lookback.load(Ordering::Relaxed),
-            correct_nanos: clocks.correct.load(Ordering::Relaxed),
-            solve_slices: clocks.slices.load(Ordering::Relaxed),
-            ..self.base_stats(pool, num_chunks)
-        })
-    }
-
-    /// The two-pass strategy: parallel local solves, one sequential
-    /// affine-map chain, parallel correction.
-    fn run_two_pass(
-        &self,
-        data: &mut [T],
-        pool: &WorkerPool,
-        ctl: &RunControl,
-    ) -> Result<RunStats, EngineError> {
-        let plan = &self.plan;
-        let m = plan.chunk_size();
-        let n = data.len();
-        let num_chunks = plan.num_chunks();
-        let check_finite = self.config.check_finite && T::IS_FLOAT;
-        let clocks = PhaseClocks::default();
-        let aborts = AtomicU64::new(0);
-        let recovered_before = pool.recovered_workers();
-
-        // Pass A: zero-state local solves in parallel; each chunk's local
-        // carry state lands in its slot for the chain to consume.
-        let locals: Vec<OnceLock<Vec<T>>> = (0..num_chunks).map(|_| OnceLock::new()).collect();
-        let failure: OnceLock<EngineError> = OnceLock::new();
-        let tickets = Tickets::new(num_chunks);
-        let base = SendPtr::new(data.as_mut_ptr());
-        pool.run_ctl(ctl, |_worker, abort| {
-            let mut tally = PhaseTally::default();
-            while let Some(c) = tickets.claim() {
-                if abort.is_aborted() {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                let start = c * m;
-                let len = m.min(n - start);
-                // SAFETY: unique tickets make the chunks disjoint.
-                let chunk = unsafe { std::slice::from_raw_parts_mut(base.ptr().add(start), len) };
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Solve, _worker, c, Some(abort));
-                let out = timed(&mut tally.solve, || {
-                    plan.solve_chunk(c, None, chunk, &mut || !abort.is_aborted())
-                });
-                tally.slices += out.slices;
-                if !out.completed {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                if check_finite && !all_finite(&out.state) {
-                    let _ = failure.set(EngineError::NonFiniteCarry { chunk: c });
-                    abort.trigger();
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                let _ = locals[c].set(out.state);
-            }
-            tally.flush(&clocks);
-        })
-        .map_err(RunError::into_engine_error)?;
-        if let Some(e) = failure.into_inner() {
-            return Err(e);
-        }
-
-        // Sequential chain: global state of chunk c from chunk c-1 through
-        // the precomputed affine map `g ↦ M_c·g + local_c`. Runs outside
-        // the pool, so it gets its own unwind guard (mirrors the constant
-        // runner's two-pass chain).
-        let chain_start = Instant::now();
-        let chain = catch_unwind(AssertUnwindSafe(|| -> Result<Vec<Vec<T>>, EngineError> {
-            let mut globals: Vec<Vec<T>> = Vec::with_capacity(num_chunks);
-            globals.push(
-                locals[0]
-                    .get()
-                    .expect("pass A completed every chunk")
-                    .clone(),
-            );
-            for c in 1..num_chunks {
-                // The chain runs outside the pool, so the watchdog cannot
-                // see it; poll the control directly instead.
-                ctl.status().map_err(RunError::into_engine_error)?;
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Lookback, 0, c, None);
-                let local = locals[c].get().expect("pass A completed every chunk");
-                let g = plan.fixup_state(c, &globals[c - 1], local);
-                if check_finite && !all_finite(&g) {
-                    return Err(EngineError::NonFiniteCarry { chunk: c });
-                }
-                globals.push(g);
-            }
-            Ok(globals)
-        }));
-        let globals = match chain {
-            Ok(Ok(v)) => v,
-            Ok(Err(e)) => return Err(e),
-            Err(payload) => {
-                return Err(WorkerPanic::from_payload(0, payload.as_ref()).into_engine_error())
-            }
-        };
-        let lookback_nanos = chain_start.elapsed().as_nanos() as u64;
-
-        // Pass B: correct every chunk with its predecessor's global state,
-        // in parallel (chunk 0 is already global).
-        let tickets = Tickets::new(num_chunks.saturating_sub(1));
-        let base = SendPtr::new(data.as_mut_ptr());
-        let globals = &globals;
-        pool.run_ctl(ctl, |_worker, abort| {
-            let mut tally = PhaseTally::default();
-            while let Some(t) = tickets.claim() {
-                if abort.is_aborted() {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                let c = t + 1;
-                let start = c * m;
-                let len = m.min(n - start);
-                // SAFETY: unique tickets make the chunks disjoint.
-                let chunk = unsafe { std::slice::from_raw_parts_mut(base.ptr().add(start), len) };
-                timed(&mut tally.correct, || {
-                    plan.correct_chunk(c, &globals[c - 1], chunk)
-                });
-            }
-            tally.flush(&clocks);
-        })
-        .map_err(RunError::into_engine_error)?;
-
-        Ok(RunStats {
-            lookback_hops: num_chunks.saturating_sub(1) as u64,
-            max_lookback_depth: 1,
-            aborts: aborts.load(Ordering::Relaxed),
-            workers_recovered: pool.recovered_workers() - recovered_before,
-            solve_nanos: clocks.solve.load(Ordering::Relaxed),
-            lookback_nanos,
-            correct_nanos: clocks.correct.load(Ordering::Relaxed),
-            solve_slices: clocks.slices.load(Ordering::Relaxed),
-            ..self.base_stats(pool, num_chunks)
-        })
-    }
-
-    /// Applies the recurrence to each row of a row-major matrix in place:
-    /// every row is an independent sequence under the same time-varying
-    /// signature (so `width` must equal the signature's bound length).
-    /// Rows are distributed whole across the pool through the same
-    /// [`RowTask`] dispatch the constant batch runner and the streaming
-    /// layer use.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::UnsupportedSignature`] when `width == 0` or
-    /// does not divide the data length, [`EngineError::LengthMismatch`]
-    /// when `width` is not the signature's bound length, and
-    /// [`EngineError::WorkerPanicked`] when a worker panicked mid-run —
-    /// the pool survives and the runner stays usable, but `data` is left
-    /// partially processed.
-    pub fn run_rows(&self, data: &mut [T], width: usize) -> Result<RunStats, EngineError> {
-        self.run_rows_ctl(data, width, None)
-    }
-
-    /// Like [`VaryingRunner::run_rows`], but observing a caller-held
-    /// [`CancelToken`] (cancelling aborts mid-row; completed rows keep
-    /// their results).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Cancelled`] on cancellation, plus everything
-    /// [`VaryingRunner::run_rows`] can return.
-    pub fn run_rows_with_cancel(
-        &self,
-        data: &mut [T],
-        width: usize,
-        cancel: &CancelToken,
-    ) -> Result<RunStats, EngineError> {
-        self.run_rows_ctl(data, width, Some(cancel))
-    }
-
-    fn run_rows_ctl(
-        &self,
-        data: &mut [T],
-        width: usize,
-        cancel: Option<&CancelToken>,
-    ) -> Result<RunStats, EngineError> {
-        if width == 0 || !data.len().is_multiple_of(width) {
-            return Err(EngineError::UnsupportedSignature {
-                reason: format!(
-                    "row width {width} does not divide the data length {}",
-                    data.len()
-                ),
-            });
-        }
-        if width != self.plan.len() {
-            return Err(EngineError::LengthMismatch {
-                expected: self.plan.len(),
-                got: width,
-            });
-        }
-        let rows = data.len() / width;
-        let pool = self.pool();
-        let mut ctl = RunControl::new();
-        if let Some(token) = cancel {
-            ctl = ctl.with_cancel(token);
-        }
-        if let Some(budget) = self.config.deadline {
-            ctl = ctl.with_deadline(budget);
-        }
-        let task = RowTask::varying(Arc::clone(&self.plan));
-        let solve_nanos = AtomicU64::new(0);
-        let solve_slices = AtomicU64::new(0);
-        let aborts = AtomicU64::new(0);
-        let recovered_before = pool.recovered_workers();
-        let tickets = Tickets::new(rows);
-        let base = SendPtr::new(data.as_mut_ptr());
-        pool.run_ctl(&ctl, |worker, abort| {
-            let (mut solve_ns, mut slices) = (0u64, 0u64);
-            while let Some(r) = tickets.claim() {
-                if abort.is_aborted() {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                // SAFETY: unique tickets make the rows disjoint; `data`
-                // outlives the blocking `pool.run_ctl` call.
-                let row =
-                    unsafe { std::slice::from_raw_parts_mut(base.ptr().add(r * width), width) };
-                let (_, s, sl) = task.apply(row, worker, r, Some(abort));
-                solve_ns += s;
-                slices += sl;
-            }
-            solve_nanos.fetch_add(solve_ns, Ordering::Relaxed);
-            solve_slices.fetch_add(slices, Ordering::Relaxed);
-        })
-        .map_err(RunError::into_engine_error)?;
-        Ok(RunStats {
-            rows: rows as u64,
-            chunks: (rows * self.plan.num_chunks()) as u64,
-            aborts: aborts.load(Ordering::Relaxed),
-            workers_recovered: pool.recovered_workers() - recovered_before,
-            solve_nanos: solve_nanos.load(Ordering::Relaxed),
-            solve_slices: solve_slices.load(Ordering::Relaxed),
-            ..self.base_stats(pool, self.plan.num_chunks())
-        })
-    }
-
-    /// Opens a streaming submission channel for independent rows under
-    /// this time-varying signature — the exact machinery of
-    /// [`BatchRunner::stream`](crate::BatchRunner::stream) (backpressure
-    /// window, per-row handles, cancel/deadline semantics), dispatching
-    /// each row through [`RowTask::varying`]. Every pushed row must have
-    /// the signature's bound length; other lengths resolve that row's
-    /// handle to [`EngineError::WorkerPanicked`].
-    pub fn stream(&self) -> RowStream<T> {
-        self.stream_with_window(2 * self.threads().max(1))
-    }
-
-    /// Like [`VaryingRunner::stream`] with an explicit in-flight window
-    /// (clamped to at least 1).
-    pub fn stream_with_window(&self, window: usize) -> RowStream<T> {
-        RowStream::launch(
-            Arc::clone(self.pool()),
-            RowTask::varying(Arc::clone(&self.plan)),
-            window.max(1),
-        )
-    }
 }
 
-/// Derives the global carry state of chunk `j` from published state: walks
-/// back to the nearest chunk with published globals (chunk 0 publishes
-/// unconditionally), then fixes forward through the per-chunk affine maps.
-///
-/// Fused chunks never publish local state — only their global — so the
-/// forward walk waits on *either* cell of each chunk: when a global lands
-/// first (the chunk fused, or its owner finished correcting), the walk
-/// restarts from that deeper global instead of composing through a local.
-///
-/// Returns `None` when the run was aborted while waiting on carries that
-/// will never be published.
-fn resolve_state<T: Element>(
-    plan: &VaryingPlan<T>,
-    slots: &[Slot<T>],
-    j: usize,
-    hops: &AtomicU64,
-    spins: &AtomicU64,
-    max_depth: &AtomicU64,
-    abort: &AbortSignal,
-) -> Option<Vec<T>> {
-    // Find the deepest published globals at or before j.
-    let mut start = j;
-    loop {
-        if slots[start].global.get().is_some() {
-            break;
-        }
-        if start == 0 {
-            // Chunk 0 always fuses (zero history) and publishes its global
-            // right after its solve; spin until it lands or the run dies.
-            wait_for_either(&slots[0], spins, abort)?;
-            break;
-        }
-        start -= 1;
-    }
-    let mut g = slots[start]
-        .global
-        .get()
-        .expect("checked or awaited above")
-        .clone();
-    hops.fetch_add(1, Ordering::Relaxed);
-    max_depth.fetch_max((j - start + 1) as u64, Ordering::Relaxed);
-    for (h, slot) in slots.iter().enumerate().take(j + 1).skip(start + 1) {
-        match wait_for_either(slot, spins, abort)? {
-            Published::Global(gv) => g = gv.clone(),
-            Published::Local(lv) => g = plan.fixup_state(h, &g, lv),
-        }
-        hops.fetch_add(1, Ordering::Relaxed);
-    }
-    Some(g)
-}
-
-/// Which carry cell of a [`Slot`] was found published first.
-enum Published<'a, T> {
-    /// The chunk's global state (fused chunks only ever publish this).
-    Global(&'a Vec<T>),
-    /// The chunk's zero-history local state.
-    Local(&'a Vec<T>),
-}
-
-/// Spins (with yields) until *either* carry cell of `slot` is published,
-/// preferring the global (it subsumes the local), or `None` once the run
-/// is aborted. The abort flag is polled only on the yield slots (every
-/// 64th iteration), keeping the fast path a pure `spin_loop` — the same
-/// discipline as the constant runner's `wait_for`.
-fn wait_for_either<'a, T>(
-    slot: &'a Slot<T>,
-    spins: &AtomicU64,
-    abort: &AbortSignal,
-) -> Option<Published<'a, T>> {
-    let mut tries = 0u64;
-    loop {
-        if let Some(v) = slot.global.get() {
-            if tries > 0 {
-                spins.fetch_add(tries, Ordering::Relaxed);
-            }
-            return Some(Published::Global(v));
-        }
-        if let Some(v) = slot.local.get() {
-            if tries > 0 {
-                spins.fetch_add(tries, Ordering::Relaxed);
-            }
-            return Some(Published::Local(v));
-        }
-        tries += 1;
-        if tries.is_multiple_of(64) {
-            if abort.is_aborted() {
-                spins.fetch_add(tries, Ordering::Relaxed);
-                return None;
-            }
-            std::thread::yield_now();
-        } else {
-            std::hint::spin_loop();
-        }
+impl<T: Element> RowAlgebra for VaryingPlan<T> {
+    fn row_task(plan: &Arc<Self>) -> RowTask<T> {
+        RowTask::varying(Arc::clone(plan))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CancelToken;
     use plr_core::varying::{reference, VaryingSignature};
 
     fn gates_f64(n: usize, k: usize) -> Vec<f64> {
@@ -817,50 +240,27 @@ mod tests {
     }
 
     #[test]
-    fn two_pass_matches_lookback_exactly_on_ints() {
-        let n = 4097;
-        let k = 2;
-        let sig = VaryingSignature::new(k, coeffs_i64(n, k)).unwrap();
-        let input = input_i64(n);
-        let expect = reference(&sig, &input).unwrap();
-        let two = VaryingRunner::with_config(
-            sig,
-            RunnerConfig {
-                chunk_size: 128,
-                threads: 4,
-                strategy: Strategy::TwoPass,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(two.run(&input).unwrap(), expect);
-    }
-
-    #[test]
     fn float_runs_stay_close_to_reference() {
         let n = 10_000;
         let k = 2;
         let sig = VaryingSignature::new(k, gates_f64(n, k)).unwrap();
         let input: Vec<f64> = (0..n).map(|i| ((i % 13) as f64) * 0.25 - 1.5).collect();
         let expect = reference(&sig, &input).unwrap();
-        for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-            let runner = VaryingRunner::with_config(
-                sig.clone(),
-                RunnerConfig {
-                    chunk_size: 512,
-                    threads: 4,
-                    strategy,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let got = runner.run(&input).unwrap();
-            for (i, (&g, &e)) in got.iter().zip(&expect).enumerate() {
-                assert!(
-                    (g - e).abs() <= 1e-9 * e.abs().max(1.0),
-                    "{strategy:?} i={i}: {g} vs {e}"
-                );
-            }
+        let runner = VaryingRunner::with_config(
+            sig,
+            RunnerConfig {
+                chunk_size: 512,
+                threads: 4,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let got = runner.run(&input).unwrap();
+        for (i, (&g, &e)) in got.iter().zip(&expect).enumerate() {
+            assert!(
+                (g - e).abs() <= 1e-9 * e.abs().max(1.0),
+                "i={i}: {g} vs {e}"
+            );
         }
     }
 
@@ -981,6 +381,30 @@ mod tests {
     }
 
     #[test]
+    fn stream_rejects_wrong_length_rows_at_push() {
+        let sig = VaryingSignature::first_order(coeffs_i64(64, 1)).unwrap();
+        let runner = VaryingRunner::new(sig.clone()).unwrap();
+        let stream = runner.stream();
+        let short = stream.push_row(vec![1i64; 63]);
+        assert!(short.is_finished(), "a wrong-length row resolves at push");
+        assert_eq!(short.index(), usize::MAX);
+        let (data, outcome) = short.join();
+        assert_eq!(data, vec![1i64; 63], "the buffer comes back untouched");
+        match outcome {
+            Err(EngineError::LengthMismatch { expected, got }) => {
+                assert_eq!((expected, got), (64, 63));
+            }
+            other => panic!("expected LengthMismatch, got {other:?}"),
+        }
+        // The stream is unaffected: a row of the bound length solves.
+        let row = input_i64(64);
+        let (got, outcome) = stream.push_row(row.clone()).join();
+        outcome.unwrap();
+        assert_eq!(got, reference(&sig, &row).unwrap());
+        assert_eq!(stream.finish().unwrap().rows, 1);
+    }
+
+    #[test]
     fn pre_cancelled_token_rejects_the_run() {
         let n = 10_000;
         let sig = VaryingSignature::first_order(coeffs_i64(n, 1)).unwrap();
@@ -997,52 +421,46 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_rejects_the_run_for_both_strategies() {
+    fn expired_deadline_rejects_the_run() {
         let n = 10_000;
         let sig = VaryingSignature::first_order(coeffs_i64(n, 1)).unwrap();
         let input = input_i64(n);
-        for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-            let runner = VaryingRunner::with_config(
-                sig.clone(),
-                RunnerConfig {
-                    chunk_size: 512,
-                    threads: 4,
-                    strategy,
-                    deadline: Some(std::time::Duration::ZERO),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            match runner.run(&input) {
-                Err(EngineError::DeadlineExceeded { .. }) => {}
-                other => panic!("expected DeadlineExceeded ({strategy:?}), got {other:?}"),
-            }
+        let runner = VaryingRunner::with_config(
+            sig,
+            RunnerConfig {
+                chunk_size: 512,
+                threads: 4,
+                deadline: Some(std::time::Duration::ZERO),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        match runner.run(&input) {
+            Err(EngineError::DeadlineExceeded { .. }) => {}
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
     }
 
     #[test]
     fn check_finite_flags_divergent_varying_floats() {
         // Gain 2 everywhere: f32 state overflows to +inf within the first
-        // few chunks; both strategies must surface NonFiniteCarry.
+        // few chunks; the run must surface NonFiniteCarry.
         let n = 8192;
         let sig = VaryingSignature::first_order(vec![2.0f32; n]).unwrap();
         let input = vec![1.0f32; n];
-        for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-            let strict = VaryingRunner::with_config(
-                sig.clone(),
-                RunnerConfig {
-                    chunk_size: 256,
-                    threads: 4,
-                    strategy,
-                    check_finite: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            match strict.run(&input) {
-                Err(EngineError::NonFiniteCarry { chunk }) => assert!(chunk < n / 256),
-                other => panic!("expected NonFiniteCarry ({strategy:?}), got {other:?}"),
-            }
+        let strict = VaryingRunner::with_config(
+            sig,
+            RunnerConfig {
+                chunk_size: 256,
+                threads: 4,
+                check_finite: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        match strict.run(&input) {
+            Err(EngineError::NonFiniteCarry { chunk }) => assert!(chunk < n / 256),
+            other => panic!("expected NonFiniteCarry, got {other:?}"),
         }
     }
 }

@@ -14,8 +14,7 @@ use plr_core::serial;
 use plr_core::signature::Signature;
 use plr_parallel::fault::{self, FaultKind, FaultPlan, FaultSite};
 use plr_parallel::{
-    BatchRunner, CancelToken, ParallelRunner, RunControl, RunError, RunnerConfig,
-    Strategy as RunStrategy, WorkerPool,
+    BatchRunner, CancelToken, ParallelRunner, RunControl, RunError, RunnerConfig, WorkerPool,
 };
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -159,17 +158,15 @@ fn signature() -> impl Strategy<Value = Signature<i64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any (signature, strategy, site, chunk, kind) combination obeys the
+    /// Any (signature, site, chunk, kind) combination obeys the
     /// fault → error → recovery contract.
     #[test]
     fn injected_faults_error_and_recover(
         sig in signature(),
-        two_pass in proptest::bool::ANY,
         lookback_site in proptest::bool::ANY,
         position in 0usize..3,
         exit_worker in proptest::bool::ANY,
     ) {
-        let strategy = if two_pass { RunStrategy::TwoPass } else { RunStrategy::LookbackPipeline };
         let site = if lookback_site { FaultSite::Lookback } else { FaultSite::Solve };
         // First / middle / last chunk — except the look-back site, which
         // chunk 0 never consults (it has no predecessor).
@@ -187,7 +184,6 @@ proptest! {
         let config = RunnerConfig {
             chunk_size: CHUNK,
             threads: threads(),
-            strategy,
             ..Default::default()
         };
         assert_fault_contract(sig, config, plan)?;
@@ -199,13 +195,10 @@ proptest! {
     fn kth_call_faults_error_and_recover(
         sig in signature(),
         k in 1u64..40,
-        two_pass in proptest::bool::ANY,
     ) {
-        let strategy = if two_pass { RunStrategy::TwoPass } else { RunStrategy::LookbackPipeline };
         let config = RunnerConfig {
             chunk_size: CHUNK,
             threads: threads(),
-            strategy,
             ..Default::default()
         };
         assert_fault_contract(sig, config, FaultPlan::panic_at_call(FaultSite::Solve, k))?;
@@ -374,24 +367,17 @@ fn unarmed_harness_is_inert() {
     let _serial = serialize();
     fault::disarm();
     let sig: Signature<i64> = "1,1:3,-3,1".parse().unwrap();
-    for strategy in [RunStrategy::LookbackPipeline, RunStrategy::TwoPass] {
-        let runner = ParallelRunner::with_config(
-            sig.clone(),
-            RunnerConfig {
-                chunk_size: CHUNK,
-                threads: threads(),
-                strategy,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let data = input(N);
-        assert_eq!(
-            runner.run(&data).unwrap(),
-            serial::run(&sig, &data),
-            "{strategy:?}"
-        );
-    }
+    let runner = ParallelRunner::with_config(
+        sig.clone(),
+        RunnerConfig {
+            chunk_size: CHUNK,
+            threads: threads(),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let data = input(N);
+    assert_eq!(runner.run(&data).unwrap(), serial::run(&sig, &data));
 }
 
 // ---------------------------------------------------------------------

@@ -11,7 +11,7 @@ use plr_core::kernel::KernelKind;
 use plr_core::serial;
 use plr_core::signature::Signature;
 use plr_core::{set_kernel_override, KernelTier};
-use plr_parallel::{BatchRunner, CancelToken, ParallelRunner, RunnerConfig, Strategy};
+use plr_parallel::{BatchRunner, CancelToken, ParallelRunner, RunnerConfig};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
@@ -34,8 +34,8 @@ fn input(n: usize) -> Vec<i64> {
     (0..n).map(|i| ((i * 29) % 19) as i64 - 9).collect()
 }
 
-/// Both runner strategies report the same kernel the dispatcher would
-/// hand out right now, never `Unknown`.
+/// The runner reports the same kernel the dispatcher would hand out
+/// right now, never `Unknown`.
 #[test]
 fn run_stats_report_the_dispatched_kernel() {
     let _g = serialize();
@@ -43,22 +43,19 @@ fn run_stats_report_the_dispatched_kernel() {
     let expect = SolveKernel::select(sig.feedback()).kind();
     assert_ne!(expect, KernelKind::Unknown);
     let data = input(10_000);
-    for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-        let runner = ParallelRunner::with_config(
-            sig.clone(),
-            RunnerConfig {
-                chunk_size: 512,
-                threads: 2,
-                strategy,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mut got = data.clone();
-        let stats = runner.run_in_place(&mut got).unwrap();
-        assert_eq!(stats.kernel, expect, "{strategy:?}");
-        assert_eq!(got, serial::run(&sig, &data), "{strategy:?}");
-    }
+    let runner = ParallelRunner::with_config(
+        sig.clone(),
+        RunnerConfig {
+            chunk_size: 512,
+            threads: 2,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let mut got = data.clone();
+    let stats = runner.run_in_place(&mut got).unwrap();
+    assert_eq!(stats.kernel, expect);
+    assert_eq!(got, serial::run(&sig, &data));
 }
 
 /// The batch whole-rows path and the streaming path report the kernel

@@ -16,7 +16,7 @@ use plr_core::plan::{self, PlanKind, PlanMode};
 use plr_core::serial;
 use plr_core::signature::Signature;
 use plr_core::Element;
-use plr_parallel::{BatchRunner, ParallelRunner, RunStats, RunnerConfig, Strategy as RunStrategy};
+use plr_parallel::{BatchRunner, ParallelRunner, RunStats, RunnerConfig};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -30,13 +30,11 @@ fn run_with<T: Element>(
     input: &[T],
     chunk: usize,
     threads: usize,
-    strategy: RunStrategy,
     mode: PlanMode,
 ) -> (Vec<T>, RunStats) {
     let config = RunnerConfig {
         chunk_size: chunk,
         threads,
-        strategy,
         plan: mode,
         ..Default::default()
     };
@@ -80,7 +78,6 @@ fn ulps64(a: f64, b: f64) -> i64 {
 
 const CHUNKS: [usize; 3] = [8, 64, 1024];
 const THREADS: [usize; 3] = [1, 2, 4];
-const STRATEGIES: [RunStrategy; 2] = [RunStrategy::LookbackPipeline, RunStrategy::TwoPass];
 
 /// Every integer strategy family × geometry: Auto must be bit-exact with
 /// both the Dense baseline and the serial reference (integer arithmetic
@@ -98,14 +95,11 @@ fn int_strategies_bit_exact_vs_dense_and_serial() {
         let expect = serial::run(&sig, &data);
         for chunk in CHUNKS {
             for threads in THREADS {
-                for strategy in STRATEGIES {
-                    let ctx = format!("{text} chunk={chunk} threads={threads} {strategy:?}");
-                    let (auto, _) = run_with(&sig, &data, chunk, threads, strategy, PlanMode::Auto);
-                    let (dense, _) =
-                        run_with(&sig, &data, chunk, threads, strategy, PlanMode::Dense);
-                    assert_eq!(auto, dense, "auto != dense for {ctx}");
-                    assert_eq!(auto, expect, "auto != serial for {ctx}");
-                }
+                let ctx = format!("{text} chunk={chunk} threads={threads}");
+                let (auto, _) = run_with(&sig, &data, chunk, threads, PlanMode::Auto);
+                let (dense, _) = run_with(&sig, &data, chunk, threads, PlanMode::Dense);
+                assert_eq!(auto, dense, "auto != dense for {ctx}");
+                assert_eq!(auto, expect, "auto != serial for {ctx}");
             }
         }
     }
@@ -128,22 +122,18 @@ fn float_strategies_match_dense_within_ulps() {
         let scale = expect.iter().fold(1.0f32, |m, &v| m.max(v.abs()));
         for chunk in chunks {
             for threads in [1usize, 4] {
-                for strategy in STRATEGIES {
-                    let ctx = format!("{text} chunk={chunk} threads={threads} {strategy:?}");
-                    let (auto, _) =
-                        run_with(&sig, &data32, chunk, threads, strategy, PlanMode::Auto);
-                    let (dense, _) =
-                        run_with(&sig, &data32, chunk, threads, strategy, PlanMode::Dense);
-                    for i in 0..n {
-                        let d = ulps32(auto[i], dense[i]);
-                        assert!(d <= 4, "auto vs dense {d} ulps at {i} for {ctx}");
-                        assert!(
-                            (auto[i] - expect[i]).abs() <= 1e-3 * scale,
-                            "auto strays from serial at {i} for {ctx}: {} vs {}",
-                            auto[i],
-                            expect[i]
-                        );
-                    }
+                let ctx = format!("{text} chunk={chunk} threads={threads}");
+                let (auto, _) = run_with(&sig, &data32, chunk, threads, PlanMode::Auto);
+                let (dense, _) = run_with(&sig, &data32, chunk, threads, PlanMode::Dense);
+                for i in 0..n {
+                    let d = ulps32(auto[i], dense[i]);
+                    assert!(d <= 4, "auto vs dense {d} ulps at {i} for {ctx}");
+                    assert!(
+                        (auto[i] - expect[i]).abs() <= 1e-3 * scale,
+                        "auto strays from serial at {i} for {ctx}: {} vs {}",
+                        auto[i],
+                        expect[i]
+                    );
                 }
             }
         }
@@ -156,14 +146,12 @@ fn float_strategies_match_dense_within_ulps() {
     for text in f64_sigs {
         let sig: Signature<f64> = text.parse().unwrap();
         for chunk in [1024usize, 4096] {
-            for strategy in STRATEGIES {
-                let ctx = format!("{text} chunk={chunk} {strategy:?}");
-                let (auto, _) = run_with(&sig, &data64, chunk, 2, strategy, PlanMode::Auto);
-                let (dense, _) = run_with(&sig, &data64, chunk, 2, strategy, PlanMode::Dense);
-                for i in 0..n {
-                    let d = ulps64(auto[i], dense[i]);
-                    assert!(d <= 4, "auto vs dense {d} ulps at {i} for {ctx}");
-                }
+            let ctx = format!("{text} chunk={chunk}");
+            let (auto, _) = run_with(&sig, &data64, chunk, 2, PlanMode::Auto);
+            let (dense, _) = run_with(&sig, &data64, chunk, 2, PlanMode::Dense);
+            for i in 0..n {
+                let d = ulps64(auto[i], dense[i]);
+                assert!(d <= 4, "auto vs dense {d} ulps at {i} for {ctx}");
             }
         }
     }
@@ -175,15 +163,7 @@ fn plan_kinds_and_reset_counters_surface_in_stats() {
     let data = input::<i64>(4000);
     let kind_of = |text: &str, chunk: usize| -> RunStats {
         let sig: Signature<i64> = text.parse().unwrap();
-        run_with(
-            &sig,
-            &data,
-            chunk,
-            2,
-            RunStrategy::LookbackPipeline,
-            PlanMode::Auto,
-        )
-        .1
+        run_with(&sig, &data, chunk, 2, PlanMode::Auto).1
     };
     assert_eq!(kind_of("1:1", 64).plan_kind, PlanKind::ScalarFold);
     assert_eq!(kind_of("1:0,1", 64).plan_kind, PlanKind::ConditionalAdd);
@@ -195,20 +175,18 @@ fn plan_kinds_and_reset_counters_surface_in_stats() {
     // cost collapses relative to the dense baseline.
     let sig: Signature<f32> = "0.2:0.8".parse().unwrap();
     let data32 = input::<f32>(20_000);
-    for strategy in STRATEGIES {
-        let (_, auto) = run_with(&sig, &data32, 4096, 2, strategy, PlanMode::Auto);
-        let (_, dense) = run_with(&sig, &data32, 4096, 2, strategy, PlanMode::Dense);
-        assert_eq!(auto.plan_kind, PlanKind::Truncated, "{strategy:?}");
-        assert_eq!(dense.plan_kind, PlanKind::Dense, "{strategy:?}");
-        assert!(auto.carry_resets > 0, "{strategy:?} never reset the chain");
-        assert_eq!(dense.carry_resets, 0, "{strategy:?} dense must not reset");
-        assert!(
-            auto.correction_taps * 8 <= dense.correction_taps,
-            "{strategy:?}: truncated taps {} not ≪ dense taps {}",
-            auto.correction_taps,
-            dense.correction_taps
-        );
-    }
+    let (_, auto) = run_with(&sig, &data32, 4096, 2, PlanMode::Auto);
+    let (_, dense) = run_with(&sig, &data32, 4096, 2, PlanMode::Dense);
+    assert_eq!(auto.plan_kind, PlanKind::Truncated);
+    assert_eq!(dense.plan_kind, PlanKind::Dense);
+    assert!(auto.carry_resets > 0, "never reset the chain");
+    assert_eq!(dense.carry_resets, 0, "dense must not reset");
+    assert!(
+        auto.correction_taps * 8 <= dense.correction_taps,
+        "truncated taps {} not ≪ dense taps {}",
+        auto.correction_taps,
+        dense.correction_taps
+    );
 }
 
 /// Two identical runner constructions share one cached plan.
@@ -221,22 +199,8 @@ fn identical_configs_hit_the_plan_cache() {
     // concurrently-running differential test can't pre-populate the key.
     let sig: Signature<f32> = "0.3:0.7".parse().unwrap();
     let data = input::<f32>(3000);
-    let (_, first) = run_with(
-        &sig,
-        &data,
-        736,
-        2,
-        RunStrategy::LookbackPipeline,
-        PlanMode::Auto,
-    );
-    let (_, second) = run_with(
-        &sig,
-        &data,
-        736,
-        2,
-        RunStrategy::LookbackPipeline,
-        PlanMode::Auto,
-    );
+    let (_, first) = run_with(&sig, &data, 736, 2, PlanMode::Auto);
+    let (_, second) = run_with(&sig, &data, 736, 2, PlanMode::Auto);
     plan::set_cache_enabled(None);
     assert_eq!(first.plan_cache_misses, 1, "first build must miss");
     assert_eq!(first.plan_cache_hits, 0);
@@ -253,22 +217,8 @@ fn disabled_cache_replans_identically() {
     plan::set_cache_enabled(Some(false));
     let sig: Signature<f32> = "0.3:0.7".parse().unwrap();
     let data = input::<f32>(3000);
-    let (out_a, first) = run_with(
-        &sig,
-        &data,
-        736,
-        2,
-        RunStrategy::LookbackPipeline,
-        PlanMode::Auto,
-    );
-    let (out_b, second) = run_with(
-        &sig,
-        &data,
-        736,
-        2,
-        RunStrategy::LookbackPipeline,
-        PlanMode::Auto,
-    );
+    let (out_a, first) = run_with(&sig, &data, 736, 2, PlanMode::Auto);
+    let (out_b, second) = run_with(&sig, &data, 736, 2, PlanMode::Auto);
     plan::set_cache_enabled(None);
     assert_eq!(first.plan_cache_hits, 0);
     assert_eq!(first.plan_cache_misses, 1);
@@ -288,22 +238,8 @@ fn cache_key_includes_feedforward() {
     let a: Signature<i64> = "1:2,-1".parse().unwrap();
     let b: Signature<i64> = "3:2,-1".parse().unwrap();
     let data = input::<i64>(3000);
-    let (out_a, stats_a) = run_with(
-        &a,
-        &data,
-        96,
-        2,
-        RunStrategy::LookbackPipeline,
-        PlanMode::Auto,
-    );
-    let (out_b, stats_b) = run_with(
-        &b,
-        &data,
-        96,
-        2,
-        RunStrategy::LookbackPipeline,
-        PlanMode::Auto,
-    );
+    let (out_a, stats_a) = run_with(&a, &data, 96, 2, PlanMode::Auto);
+    let (out_b, stats_b) = run_with(&b, &data, 96, 2, PlanMode::Auto);
     plan::set_cache_enabled(None);
     assert_eq!(stats_a.plan_cache_misses, 1);
     assert_eq!(
@@ -431,12 +367,10 @@ proptest! {
         data in proptest::collection::vec(-20i64..20, 0..1500),
         chunk_pow in 2usize..8,
         threads in 1usize..5,
-        two_pass in proptest::bool::ANY,
     ) {
-        let strategy = if two_pass { RunStrategy::TwoPass } else { RunStrategy::LookbackPipeline };
         let chunk = (1usize << chunk_pow).max(sig.order());
-        let (auto, _) = run_with(&sig, &data, chunk, threads, strategy, PlanMode::Auto);
-        let (dense, _) = run_with(&sig, &data, chunk, threads, strategy, PlanMode::Dense);
+        let (auto, _) = run_with(&sig, &data, chunk, threads, PlanMode::Auto);
+        let (dense, _) = run_with(&sig, &data, chunk, threads, PlanMode::Dense);
         prop_assert_eq!(&auto, &dense, "auto != dense for {} chunk={}", &sig, chunk);
         prop_assert_eq!(auto, serial::run(&sig, &data), "auto != serial for {}", &sig);
     }

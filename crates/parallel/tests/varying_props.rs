@@ -23,7 +23,7 @@ use plr_core::kernel::KernelKind;
 use plr_core::plan::{self, PlanKind};
 use plr_core::varying::{reference, VaryingEngine, VaryingSignature};
 use plr_core::{set_kernel_override, Element, KernelTier};
-use plr_parallel::runner::{RunnerConfig, Strategy};
+use plr_parallel::runner::RunnerConfig;
 use plr_parallel::VaryingRunner;
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -99,14 +99,12 @@ fn runner_with<T: Element>(
     sig: &VaryingSignature<T>,
     chunk: usize,
     threads: usize,
-    strategy: Strategy,
 ) -> VaryingRunner<T> {
     VaryingRunner::with_config(
         sig.clone(),
         RunnerConfig {
             chunk_size: chunk,
             threads,
-            strategy,
             ..Default::default()
         },
     )
@@ -142,12 +140,9 @@ fn all_executor_outputs<T: Element>(
         let engine = engine_with(sig, chunk, carry);
         outs.push((format!("engine/{carry:?}"), engine.run(input).unwrap()));
     }
-    for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-        let runner = runner_with(sig, chunk, threads, strategy);
-        outs.push((format!("runner/{strategy:?}"), runner.run(input).unwrap()));
-    }
+    let runner = runner_with(sig, chunk, threads);
+    outs.push(("runner".into(), runner.run(input).unwrap()));
     // Batch and stream entry points, one row each (they share RowTask).
-    let runner = runner_with(sig, chunk, threads, Strategy::LookbackPipeline);
     let mut rows = input.to_vec();
     runner.run_rows(&mut rows, input.len().max(1)).unwrap();
     outs.push(("batch/run_rows".into(), rows));
@@ -288,7 +283,7 @@ fn mixed_constant_and_varying_chunks_report_mixed_kernel() {
     let sig = VaryingSignature::first_order(coeffs).unwrap();
     let input = float_input(n);
     let expect = reference(&sig, &input).unwrap();
-    let runner = runner_with(&sig, chunk, 2, Strategy::TwoPass);
+    let runner = runner_with(&sig, chunk, 2);
     let mut data = input.clone();
     let stats = runner.run_in_place(&mut data).unwrap();
     set_kernel_override(None);
@@ -306,7 +301,7 @@ fn mixed_constant_and_varying_chunks_report_mixed_kernel() {
 
     // All-varying: every chunk is the scalar matrix-carry loop.
     let all_varying = VaryingSignature::first_order(contractive_gates(n, 1, 0xa11)).unwrap();
-    let runner = runner_with(&all_varying, chunk, 2, Strategy::TwoPass);
+    let runner = runner_with(&all_varying, chunk, 2);
     let mut data = float_input(n);
     let stats = runner.run_in_place(&mut data).unwrap();
     assert_eq!(stats.kernel, KernelKind::Scalar);
@@ -326,16 +321,13 @@ fn varying_runs_bypass_the_constant_plan_cache() {
     let n = 3000;
     let sig = VaryingSignature::new(2, int_coeffs(n, 2, 0xcac4e)).unwrap();
     let input = int_input(n);
-    for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-        let runner = runner_with(&sig, 128, 2, strategy);
-        let mut data = input.clone();
-        let stats = runner.run_in_place(&mut data).unwrap();
-        assert_eq!(stats.plan_kind, PlanKind::MatrixCarry, "{strategy:?}");
-        assert_eq!(stats.plan_cache_hits, 0, "{strategy:?}");
-        assert_eq!(stats.plan_cache_misses, 0, "{strategy:?}");
-    }
+    let runner = runner_with(&sig, 128, 2);
+    let mut data = input.clone();
+    let stats = runner.run_in_place(&mut data).unwrap();
+    assert_eq!(stats.plan_kind, PlanKind::MatrixCarry);
+    assert_eq!(stats.plan_cache_hits, 0);
+    assert_eq!(stats.plan_cache_misses, 0);
     // Batch + stream entry points are cache-silent too.
-    let runner = runner_with(&sig, 128, 2, Strategy::LookbackPipeline);
     let mut rows = input.clone();
     let stats = runner.run_rows(&mut rows, n).unwrap();
     assert_eq!(stats.plan_cache_hits + stats.plan_cache_misses, 0);
@@ -376,7 +368,7 @@ fn lookback_fusion_counts_and_stays_exact() {
     let sig = VaryingSignature::first_order(int_coeffs(n, 1, 0xf05e)).unwrap();
     let input = int_input(n);
     let expect = reference(&sig, &input).unwrap();
-    let one = runner_with(&sig, 256, 1, Strategy::LookbackPipeline);
+    let one = runner_with(&sig, 256, 1);
     let mut data = input.clone();
     let stats = one.run_in_place(&mut data).unwrap();
     assert_eq!(data, expect);
@@ -384,7 +376,7 @@ fn lookback_fusion_counts_and_stays_exact() {
         stats.fused_chunks, stats.chunks,
         "a single worker claims chunks in order, so every chunk fuses"
     );
-    let four = runner_with(&sig, 256, 4, Strategy::LookbackPipeline);
+    let four = runner_with(&sig, 256, 4);
     let mut data = input.clone();
     let stats = four.run_in_place(&mut data).unwrap();
     assert_eq!(data, expect);
@@ -471,13 +463,13 @@ mod fault_legs {
     const N: usize = 8192;
     const CHUNK: usize = 256;
 
-    fn assert_fault_contract(strategy: Strategy, plan: FaultPlan) {
+    fn assert_fault_contract(plan: FaultPlan) {
         let _g = lock_global();
         quiet_injected_panics();
         let sig = VaryingSignature::new(2, int_coeffs(N, 2, 0xfa117)).unwrap();
         let data = int_input(N);
         let expect = reference(&sig, &data).unwrap();
-        let runner = runner_with(&sig, CHUNK, 4, strategy);
+        let runner = runner_with(&sig, CHUNK, 4);
 
         // Warm the pool so the fault hits resident, parked workers.
         assert_eq!(runner.run(&data).unwrap(), expect, "warm-up must validate");
@@ -498,37 +490,12 @@ mod fault_legs {
         // Same pool, fault-free rerun: bit-exact recovery.
         let data = int_input(N);
         let got = watchdog(60, move || runner.run(&data).unwrap());
-        assert_eq!(
-            got, expect,
-            "rerun after fault must validate ({strategy:?})"
-        );
+        assert_eq!(got, expect, "rerun after fault must validate");
     }
 
     #[test]
     fn solve_fault_errors_and_recovers_lookback() {
-        assert_fault_contract(
-            Strategy::LookbackPipeline,
-            FaultPlan::panic_at_chunk(FaultSite::Solve, (N / CHUNK) / 2),
-        );
-    }
-
-    #[test]
-    fn solve_fault_errors_and_recovers_two_pass() {
-        assert_fault_contract(
-            Strategy::TwoPass,
-            FaultPlan::panic_at_chunk(FaultSite::Solve, (N / CHUNK) / 2),
-        );
-    }
-
-    /// The look-back site is only consulted unconditionally by the
-    /// two-pass chain (lookback-pipeline chunks skip it when they fuse,
-    /// which integers do opportunistically), so the chain leg pins it.
-    #[test]
-    fn chain_fault_errors_and_recovers() {
-        assert_fault_contract(
-            Strategy::TwoPass,
-            FaultPlan::panic_at_chunk(FaultSite::Lookback, (N / CHUNK) / 2),
-        );
+        assert_fault_contract(FaultPlan::panic_at_chunk(FaultSite::Solve, (N / CHUNK) / 2));
     }
 
     /// Streamed varying rows: a row-site fault resolves only that row's
@@ -541,7 +508,7 @@ mod fault_legs {
         let sig = VaryingSignature::first_order(int_coeffs(n, 1, 0x57f)).unwrap();
         let input = int_input(n);
         let expect = reference(&sig, &input).unwrap();
-        let runner = runner_with(&sig, 64, 2, Strategy::LookbackPipeline);
+        let runner = runner_with(&sig, 64, 2);
         let stream = runner.stream();
         fault::arm(FaultPlan::panic_at_chunk(FaultSite::Row, 0));
         let bad = stream.push_row(input.clone());

@@ -13,7 +13,7 @@
 //! ```
 
 use plr::core::segmented::run_serial;
-use plr::{RunnerConfig, SegmentedRunner, Segments, Signature, Strategy};
+use plr::{RunnerConfig, SegmentedRunner, Segments, Signature};
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -45,7 +45,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         RunnerConfig {
             chunk_size: 8192,
             threads: 4,
-            strategy: Strategy::LookbackPipeline,
             ..Default::default()
         },
     )?;

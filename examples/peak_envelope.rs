@@ -9,7 +9,7 @@
 
 use plr::core::tropical::MaxPlus;
 use plr::core::{serial, validate};
-use plr::{Element, ParallelRunner, RunnerConfig, Signature, Strategy};
+use plr::{Element, ParallelRunner, RunnerConfig, Signature};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 1 << 20;
@@ -31,7 +31,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         RunnerConfig {
             chunk_size: 1 << 14,
             threads: 0,
-            strategy: Strategy::TwoPass,
             ..Default::default()
         },
     )?;

@@ -20,7 +20,7 @@
 //! cargo run --release --example selective_scan
 //! ```
 
-use plr::{RunnerConfig, Strategy, VaryingRunner, VaryingSignature};
+use plr::{RunnerConfig, VaryingRunner, VaryingSignature};
 use std::time::Instant;
 
 /// A deterministic stream of "retain" gates in [0.85, 0.95] with a hard
@@ -62,7 +62,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         RunnerConfig {
             chunk_size: 1 << 16,
             threads: 0,
-            strategy: Strategy::default(),
             ..Default::default()
         },
     )?;

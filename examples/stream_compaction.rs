@@ -12,7 +12,7 @@
 //! ```
 
 use plr::core::prefix;
-use plr::{ParallelRunner, RunnerConfig, Strategy};
+use plr::{ParallelRunner, RunnerConfig};
 use std::time::Instant;
 
 /// Compacts `data` keeping elements where `keep` is true, using a parallel
@@ -25,7 +25,6 @@ fn compact(data: &[u32], keep: impl Fn(u32) -> bool + Sync) -> Vec<u32> {
         RunnerConfig {
             chunk_size: 1 << 16,
             threads: 0,
-            strategy: Strategy::default(),
             ..Default::default()
         },
     )

@@ -58,6 +58,6 @@ pub use plr_core::{
 };
 pub use plr_parallel::{
     BatchRunner, CancelToken, ParallelRunner, RowHandle, RowStream, RunControl, RunHandle,
-    RunnerConfig, SegmentedRunner, Strategy, VaryingRunner,
+    RunnerConfig, SegmentedRunner, VaryingRunner,
 };
 pub use plr_service::{ServiceConfig, ServiceCore, SubmitOptions, TenantSpec};

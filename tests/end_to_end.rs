@@ -8,7 +8,7 @@ use plr::codegen::Plr;
 use plr::core::engine::{CarryPropagation, EngineConfig, LocalSolve};
 use plr::core::{prefix, serial, validate};
 use plr::sim::DeviceConfig;
-use plr::{Element, Engine, ParallelRunner, RunnerConfig, Signature, Strategy};
+use plr::{Element, Engine, ParallelRunner, RunnerConfig, Signature};
 use plr_bench::PlrExecutor;
 
 fn check_catalog_entry<T: Element>(sig: &Signature<T>, tol: f64) {
@@ -49,7 +49,6 @@ fn check_catalog_entry<T: Element>(sig: &Signature<T>, tol: f64) {
         RunnerConfig {
             chunk_size: 2048,
             threads: 4,
-            strategy: Strategy::default(),
             ..Default::default()
         },
     )

@@ -1,11 +1,10 @@
 //! Workspace integration: the max-plus semiring flows through every layer
 //! that only uses the semiring operations — serial, engine, the
-//! multithreaded runtime (both strategies), segmented inputs, and the
-//! streaming API.
+//! multithreaded runtime, segmented inputs, and the streaming API.
 
 use plr::core::tropical::MaxPlus;
 use plr::core::{segmented, serial, stream};
-use plr::{Element, Engine, ParallelRunner, RunnerConfig, Signature, Strategy};
+use plr::{Element, Engine, ParallelRunner, RunnerConfig, Signature};
 
 fn envelope(decay: f64) -> Signature<MaxPlus> {
     Signature::new(vec![MaxPlus::one()], vec![MaxPlus::new(-decay)]).unwrap()
@@ -28,22 +27,19 @@ fn parallel_runtime_computes_tropical_recurrences() {
     let sig = envelope(0.01);
     let input = bursty(100_000);
     let expect = serial::run(&sig, &input);
-    for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-        let runner = ParallelRunner::with_config(
-            sig.clone(),
-            RunnerConfig {
-                chunk_size: 1024,
-                threads: 4,
-                strategy,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let got = runner.run(&input).unwrap();
-        // Max-plus ⊕ (max) is exact; ⊗ (+) reassociation is the only noise.
-        for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
-            assert!(g.approx_eq(*e, 1e-9), "{strategy:?} index {i}: {g} vs {e}");
-        }
+    let runner = ParallelRunner::with_config(
+        sig.clone(),
+        RunnerConfig {
+            chunk_size: 1024,
+            threads: 4,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let got = runner.run(&input).unwrap();
+    // Max-plus ⊕ (max) is exact; ⊗ (+) reassociation is the only noise.
+    for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
+        assert!(g.approx_eq(*e, 1e-9), "index {i}: {g} vs {e}");
     }
 }
 
