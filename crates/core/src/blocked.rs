@@ -37,6 +37,12 @@
 //! integers, and exotic elements. [`fir_in_place`] is the matching
 //! map-stage kernel: a branch-free steady-state loop with unrolled
 //! specializations for small tap counts.
+//!
+//! [`SolveKernel::solve_fir_in_place_sliced`] runs that map inside the
+//! solve, so a chunk of raw input is read and written once. A one-tap FIR
+//! `f0` commutes with the recurrence, so the blocked and SIMD kernels
+//! simply solve against the impulse table scaled by `f0`; wider FIRs map
+//! each slice right before it is solved, while it is still in cache.
 
 use crate::element::Element;
 use crate::kernel::{self, KernelKind, KernelTier};
@@ -146,35 +152,55 @@ impl<T: Element> BlockedKernel<T> {
     /// [`serial::recursive_in_place_with_history`].
     pub fn solve_in_place_with_history(&self, history: &[T], data: &mut [T]) {
         let k = self.feedback.len();
-        let mut carries = [T::zero(); MAX_BLOCKED_ORDER];
-        for (c, &h) in carries.iter_mut().zip(history.iter().take(k)) {
-            *c = h;
-        }
-        let mut blocks = data.chunks_exact_mut(BLOCK);
-        for block in blocks.by_ref() {
-            let block: &mut [T; BLOCK] =
-                block.try_into().expect("exact chunks have BLOCK elements");
-            self.solve_block(block, &carries);
-            for (r, c) in carries.iter_mut().enumerate().take(k) {
-                *c = block[BLOCK - 1 - r];
-            }
-        }
-        let tail = blocks.into_remainder();
+        let mut carries = seed_carries(history, k);
+        let done = self.solve_blocks(&self.impulse, &mut carries, data);
+        let tail = &mut data[done..];
         if !tail.is_empty() {
             serial::recursive_in_place_with_history(&self.feedback, &carries[..k], tail);
         }
     }
 
+    /// Runs the blocked formulation with impulse table `impulse` over as
+    /// many full blocks as fit, updating `carries` (most recent output
+    /// first). Returns the element count processed. (Shared with the
+    /// portable tier of [`crate::simd`].)
+    pub(crate) fn solve_blocks(
+        &self,
+        impulse: &[T; BLOCK],
+        carries: &mut [T; MAX_BLOCKED_ORDER],
+        data: &mut [T],
+    ) -> usize {
+        let k = self.order();
+        let n = data.len() - data.len() % BLOCK;
+        for block in data[..n].chunks_exact_mut(BLOCK) {
+            let block: &mut [T; BLOCK] = block.try_into().expect("exact chunks");
+            self.solve_block(impulse, block, carries);
+            for (r, c) in carries.iter_mut().enumerate().take(k) {
+                *c = block[BLOCK - 1 - r];
+            }
+        }
+        n
+    }
+
     /// One block: triangular-FIR local solution, then carry application.
-    /// (Shared with the portable tier of [`crate::simd`].)
     #[inline]
-    pub(crate) fn solve_block(&self, block: &mut [T; BLOCK], carries: &[T; MAX_BLOCKED_ORDER]) {
+    fn solve_block(
+        &self,
+        impulse: &[T; BLOCK],
+        block: &mut [T; BLOCK],
+        carries: &[T; MAX_BLOCKED_ORDER],
+    ) {
         let t = *block;
-        // h[0] = 1: every input contributes itself; start from a copy and
-        // add the j ≥ 1 impulse taps. Each j-pass is dependency-free.
+        // h[0] = 1 unless a folded tap scaled the table: every input
+        // contributes itself (times the tap); start from that and add the
+        // j ≥ 1 impulse taps. Each j-pass is dependency-free.
         let mut acc = t;
-        for j in 1..BLOCK {
-            let hj = self.impulse[j];
+        if impulse[0] != T::one() {
+            for a in acc.iter_mut() {
+                *a = impulse[0].mul(*a);
+            }
+        }
+        for (j, &hj) in impulse.iter().enumerate().skip(1) {
             for i in 0..BLOCK - j {
                 acc[i + j] = acc[i + j].add(hj.mul(t[i]));
             }
@@ -187,6 +213,15 @@ impl<T: Element> BlockedKernel<T> {
         }
         *block = acc;
     }
+}
+
+/// The first `k` history values as a fixed carry array (zeros beyond).
+pub(crate) fn seed_carries<T: Element>(history: &[T], k: usize) -> [T; MAX_BLOCKED_ORDER] {
+    let mut carries = [T::zero(); MAX_BLOCKED_ORDER];
+    for (c, &h) in carries.iter_mut().zip(history.iter().take(k)) {
+        *c = h;
+    }
+    carries
 }
 
 /// Elements per cancellation-poll slice of
@@ -358,38 +393,151 @@ impl<T: Element> SolveKernel<T> {
         data: &mut [T],
         keep_going: &mut dyn FnMut() -> bool,
     ) -> SlicedSolve {
+        self.sliced(data, keep_going, |history, slice, _| {
+            self.solve_in_place_with_history(history, slice)
+        })
+    }
+
+    /// The slice loop behind both sliced entry points: hands `solve` each
+    /// [`SOLVE_SLICE`] with its history (the solved outputs before it) and
+    /// whether another slice follows, polling `keep_going` before every
+    /// slice after the first.
+    /// Degenerate cases run as one slice: short data, no feedback, or an
+    /// order so high a slice could not even hold the history hand-off.
+    fn sliced(
+        &self,
+        data: &mut [T],
+        keep_going: &mut dyn FnMut() -> bool,
+        mut solve: impl FnMut(&[T], &mut [T], bool),
+    ) -> SlicedSolve {
         let k = self.feedback().len();
         let n = data.len();
-        // Degenerate cases run unsliced: short data, no feedback, or an
-        // order so high a slice could not even hold the history hand-off.
-        if n <= SOLVE_SLICE || k == 0 || k >= SOLVE_SLICE {
-            self.solve_in_place(data);
-            return SlicedSolve {
-                completed: true,
-                slices: 1,
-            };
-        }
+        let step = if n <= SOLVE_SLICE || k == 0 || k >= SOLVE_SLICE {
+            n
+        } else {
+            SOLVE_SLICE
+        };
         let mut slices = 0u64;
         let mut start = 0usize;
-        while start < n {
-            if start > 0 && !keep_going() {
+        loop {
+            let end = (start + step).min(n);
+            let (done, rest) = data.split_at_mut(start);
+            solve(&carries_of(done, k), &mut rest[..end - start], end < n);
+            slices += 1;
+            if end == n {
+                return SlicedSolve {
+                    completed: true,
+                    slices,
+                };
+            }
+            start = end;
+            if !keep_going() {
                 return SlicedSolve {
                     completed: false,
                     slices,
                 };
             }
-            let end = (start + SOLVE_SLICE).min(n);
-            let (prev, rest) = data.split_at_mut(start);
-            let history = carries_of(prev, k);
-            self.solve_in_place_with_history(&history, &mut rest[..end - start]);
-            slices += 1;
-            start = end;
-        }
-        SlicedSolve {
-            completed: true,
-            slices,
         }
     }
+
+    /// Solves `y = IIR(FIR(x))` in place from raw input `x` with zero
+    /// feedback history, in one pass over memory: the FIR map with taps
+    /// `taps` runs inside the solve instead of as a pass of its own.
+    /// `prev` is the raw input immediately left of `data`, most recent
+    /// last (the caller's boundary stash); taps that reach past it read
+    /// zero.
+    ///
+    /// Sliced and polled exactly like [`SolveKernel::solve_in_place_sliced`].
+    /// How the FIR runs depends on the tier and the tap count:
+    ///
+    /// * one tap on the SIMD and blocked tiers: the kernel solves against
+    ///   the impulse table scaled by the tap, so the map costs nothing per
+    ///   element;
+    /// * every other case: [`fir_in_place`] maps each slice right before
+    ///   the slice is solved, while it is still in cache (the slice's raw
+    ///   tail is saved first, so the next slice keeps its left context).
+    ///
+    /// Exact for the wrapping integers on every tier; floats differ from
+    /// the two-pass map-then-solve by reassociation only.
+    pub fn solve_fir_in_place_sliced(
+        &self,
+        taps: &[T],
+        prev: &[T],
+        data: &mut [T],
+        keep_going: &mut dyn FnMut() -> bool,
+    ) -> SlicedSolve {
+        let scaled = self.scaled_impulse(taps);
+        self.solve_fir_with(taps, scaled.as_ref(), prev, data, keep_going)
+    }
+
+    /// The impulse table with a one-tap FIR folded in — the impulse
+    /// response scaled by the tap — or `None` when the FIR has another tap
+    /// count or this tier has no table.
+    pub(crate) fn scaled_impulse(&self, taps: &[T]) -> Option<[T; BLOCK]> {
+        let (&[tap], Some(h)) = (taps, self.blocked()) else {
+            return None;
+        };
+        Some(h.impulse.map(|x| tap.mul(x)))
+    }
+
+    /// [`SolveKernel::solve_fir_in_place_sliced`] with the one-tap table
+    /// already built by [`SolveKernel::scaled_impulse`] (plans build it
+    /// once, not once per chunk or row).
+    pub(crate) fn solve_fir_with(
+        &self,
+        taps: &[T],
+        scaled: Option<&[T; BLOCK]>,
+        prev: &[T],
+        data: &mut [T],
+        keep_going: &mut dyn FnMut() -> bool,
+    ) -> SlicedSolve {
+        if let (Some(table), Some(kernel)) = (scaled, self.blocked()) {
+            let tap = taps[0];
+            return self.sliced(data, keep_going, |history, slice, _| {
+                let k = kernel.order();
+                let mut carries = seed_carries(history, k);
+                let done = match self {
+                    SolveKernel::Simd(kn) => kn.solve_vector_blocks(table, &mut carries, slice),
+                    _ => kernel.solve_blocks(table, &mut carries, slice),
+                };
+                // The sub-block remainder: map, then the scalar loop.
+                let tail = &mut slice[done..];
+                for x in tail.iter_mut() {
+                    *x = tap.mul(*x);
+                }
+                serial::recursive_in_place_with_history(&kernel.feedback, &carries[..k], tail);
+            });
+        }
+        let reach = taps.len().saturating_sub(1);
+        let head = &prev[prev.len().saturating_sub(reach)..];
+        let mut saved: Option<Vec<T>> = None;
+        self.sliced(data, keep_going, |history, slice, more| {
+            let ctx = saved.as_deref().unwrap_or(head);
+            let next = more.then(|| raw_context(ctx, slice, reach));
+            fir_in_place(taps, ctx, ctx.len(), slice);
+            self.solve_in_place_with_history(history, slice);
+            saved = next;
+        })
+    }
+
+    /// The blocked formulation behind the SIMD and blocked tiers.
+    fn blocked(&self) -> Option<&BlockedKernel<T>> {
+        match self {
+            SolveKernel::Simd(k) => Some(k.blocked()),
+            SolveKernel::Blocked(k) => Some(k),
+            SolveKernel::Scalar(_) => None,
+        }
+    }
+}
+
+/// The last `reach` raw inputs up to the end of `slice`, most recent last:
+/// the FIR context of whatever follows `slice`, whose own left context is
+/// `ctx`.
+fn raw_context<T: Element>(ctx: &[T], slice: &[T], reach: usize) -> Vec<T> {
+    let from_slice = reach.min(slice.len());
+    let mut out = ctx[ctx.len() - (reach - from_slice).min(ctx.len())..].to_vec();
+    out.extend_from_slice(&slice[slice.len() - from_slice..]);
+    out
 }
 
 /// Applies the FIR map `out[i] = Σ_j fir[j]·x[i-j]` to `chunk` in place,

@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::analysis::{classify, FactorPattern};
-use crate::blocked::SolveKernel;
+use crate::blocked::{SlicedSolve, SolveKernel, BLOCK};
 use crate::element::Element;
 use crate::kernel::{self, KernelTier};
 use crate::nacci::{carries_of, CorrectionTable};
@@ -140,6 +140,9 @@ pub struct CorrectionPlan<T> {
     signature: Signature<T>,
     fir: Vec<T>,
     solve: SolveKernel<T>,
+    /// The solve kernel's impulse table scaled by a one-tap FIR, built
+    /// once for [`CorrectionPlan::solve_raw_sliced`].
+    fir_impulse: Option<[T; BLOCK]>,
     table: CorrectionTable<T>,
     strategies: Vec<FactorPattern<T>>,
     chunk_size: usize,
@@ -257,6 +260,7 @@ impl<T: Element> CorrectionPlan<T> {
 
         CorrectionPlan {
             signature: signature.clone(),
+            fir_impulse: solve.scaled_impulse(&fir),
             fir,
             solve,
             table,
@@ -283,6 +287,26 @@ impl<T: Element> CorrectionPlan<T> {
     /// The selected local-solve kernel (register-blocked when eligible).
     pub fn solve(&self) -> &SolveKernel<T> {
         &self.solve
+    }
+
+    /// The zero-history local solve of raw input `data` in one pass: the
+    /// FIR map folded into the solve kernel
+    /// ([`SolveKernel::solve_fir_in_place_sliced`]), or the plain solve for
+    /// pure-feedback signatures. `prev` is the raw input just left of
+    /// `data` (most recent last) that the FIR may reach; sliced and
+    /// polled against `keep_going`.
+    pub fn solve_raw_sliced(
+        &self,
+        prev: &[T],
+        data: &mut [T],
+        keep_going: &mut dyn FnMut() -> bool,
+    ) -> SlicedSolve {
+        if self.signature.is_pure_feedback() {
+            self.solve.solve_in_place_sliced(data, keep_going)
+        } else {
+            self.solve
+                .solve_fir_with(&self.fir, self.fir_impulse.as_ref(), prev, data, keep_going)
+        }
     }
 
     /// The physical factor table (shorter than [`chunk_size`] for

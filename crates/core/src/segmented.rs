@@ -19,12 +19,13 @@
 //! as *interior* (ordinary look-back correction) or *reset* (its tail past
 //! the last in-chunk boundary is globally final the moment its local solve
 //! lands, and its prefix before the first boundary is all that ever gets
-//! corrected). Chunks whose post-FIR input is entirely zero can skip their
-//! local solve outright — the correction pass *is* their output and their
-//! carries reduce to the factor-table fix-up (a companion-power multiply)
-//! of zero locals.
+//! corrected). Chunks whose raw input and boundary stash are entirely zero
+//! can skip their local solve outright — the FIR and the solve both map
+//! zero to zero, so the chunk is read once and never written; the
+//! correction pass *is* its output and its carries reduce to the
+//! factor-table fix-up (a companion-power multiply) of zero locals.
 
-use crate::blocked::{fir_in_place, SlicedSolve};
+use crate::blocked::SlicedSolve;
 use crate::element::Element;
 use crate::engine::MAX_INPUT_LEN;
 use crate::error::EngineError;
@@ -310,10 +311,10 @@ impl<T: Element> SegmentedPlan<T> {
         cuts
     }
 
-    /// Stashes, for every chunk after the first, the original inputs its
-    /// in-place FIR needs from across its left boundary — truncated at
-    /// the containing segment's start, because FIR taps never cross a
-    /// segment boundary (each segment filters as its own sequence).
+    /// Stashes, for every chunk after the first, the raw inputs its FIR
+    /// reads from across its left boundary — truncated at the containing
+    /// segment's start, because FIR taps never cross a segment boundary
+    /// (each segment filters as its own sequence).
     pub fn stash_boundaries(&self, data: &[T]) -> Vec<Vec<T>> {
         let p = self.plan.fir().len();
         if self.is_pure_feedback() || p <= 1 {
@@ -328,47 +329,21 @@ impl<T: Element> SegmentedPlan<T> {
             .collect()
     }
 
-    /// The segment-aware FIR map for chunk `c`, in place: each in-chunk
-    /// piece filters as its own sequence; the first piece continues the
-    /// segment it shares with earlier chunks through the boundary stash.
-    pub fn fir_chunk(&self, chunk: &mut [T], c: usize, boundaries: &[Vec<T>]) {
-        if self.is_pure_feedback() {
-            return;
-        }
-        let start = c * self.chunk_size;
-        let first_fresh = self.map.resets(c).first() == Some(&0);
-        for w in self.piece_cuts(c, chunk.len()).windows(2) {
-            let (a, b) = (w[0], w[1]);
-            if a >= b {
-                continue;
-            }
-            if a == 0 && !first_fresh {
-                // Continues the segment containing `start` (for chunk 0,
-                // the head of the data): taps may reach the stash but
-                // never past the segment start.
-                let seg = self.segments.segment_start(start);
-                let prev: &[T] = if c == 0 || boundaries.is_empty() {
-                    &[]
-                } else {
-                    &boundaries[c - 1]
-                };
-                fir_in_place(self.plan.fir(), prev, start - seg, &mut chunk[..b]);
-            } else {
-                fir_in_place(self.plan.fir(), &[], 0, &mut chunk[a..b]);
-            }
-        }
-    }
-
-    /// The piecewise local solve for chunk `c`, in place: every piece
-    /// solves from zero history (the first piece is the ordinary
-    /// decoupled local solve; pieces past a reset are *globally* final).
-    /// Time-sliced against `keep_going` like the unsegmented kernels.
+    /// The piecewise local solve of raw chunk `c`, in place and in one
+    /// pass: every piece maps (the segment-aware FIR, folded into the
+    /// solve kernel) and solves from zero history. The first piece
+    /// continues the segment it shares with earlier chunks, so its FIR
+    /// reads `prev` — the chunk's boundary stash — while pieces past a
+    /// reset start fresh and are *globally* final. Time-sliced against
+    /// `keep_going` like the unsegmented kernels.
     pub fn solve_chunk(
         &self,
         chunk: &mut [T],
         c: usize,
+        prev: &[T],
         keep_going: &mut dyn FnMut() -> bool,
     ) -> SlicedSolve {
+        let first_fresh = self.map.resets(c).first() == Some(&0);
         let mut total = SlicedSolve {
             completed: true,
             slices: 0,
@@ -378,10 +353,10 @@ impl<T: Element> SegmentedPlan<T> {
             if a >= b {
                 continue;
             }
+            let ctx = if a == 0 && !first_fresh { prev } else { &[] };
             let out = self
                 .plan
-                .solve()
-                .solve_in_place_sliced(&mut chunk[a..b], keep_going);
+                .solve_raw_sliced(ctx, &mut chunk[a..b], keep_going);
             total.slices += out.slices;
             if !out.completed {
                 total.completed = false;
@@ -392,18 +367,8 @@ impl<T: Element> SegmentedPlan<T> {
     }
 
     /// The whole-row serial sweep shared by the batch and streaming
-    /// layers' segmented rows: segment-aware FIR over the full row.
-    pub fn fir_row_in_place(&self, row: &mut [T]) {
-        if self.is_pure_feedback() {
-            return;
-        }
-        for (a, b) in self.segments.ranges(row.len()) {
-            fir_in_place(self.plan.fir(), &[], 0, &mut row[a..b]);
-        }
-    }
-
-    /// The whole-row serial solve: each segment solves from zero history,
-    /// time-sliced against `keep_going`.
+    /// layers' segmented rows: each segment maps and solves from zero
+    /// history in one pass, time-sliced against `keep_going`.
     pub fn solve_row_in_place(
         &self,
         row: &mut [T],
@@ -414,10 +379,7 @@ impl<T: Element> SegmentedPlan<T> {
             slices: 0,
         };
         for (a, b) in self.segments.ranges(row.len()) {
-            let out = self
-                .plan
-                .solve()
-                .solve_in_place_sliced(&mut row[a..b], keep_going);
+            let out = self.plan.solve_raw_sliced(&[], &mut row[a..b], keep_going);
             total.slices += out.slices;
             if !out.completed {
                 total.completed = false;
@@ -625,8 +587,11 @@ mod tests {
         let boundaries = plan.stash_boundaries(&data);
         let m = plan.chunk_size();
         for (c, chunk) in data.chunks_mut(m).enumerate() {
-            plan.fir_chunk(chunk, c, &boundaries);
-            let out = plan.solve_chunk(chunk, c, &mut || true);
+            let prev = match c {
+                0 => &[][..],
+                _ => boundaries.get(c - 1).map_or(&[][..], Vec::as_slice),
+            };
+            let out = plan.solve_chunk(chunk, c, prev, &mut || true);
             assert!(out.completed);
         }
         // Sequential fix-up: interior chunks chain carries, reset chunks
@@ -660,7 +625,6 @@ mod tests {
         let input: Vec<f64> = (0..300).map(|i| ((i % 17) as f64) * 0.25 - 2.0).collect();
         let plan = SegmentedPlan::build(&sig, segments.clone(), input.len(), 64).unwrap();
         let mut row = input.clone();
-        plan.fir_row_in_place(&mut row);
         let out = plan.solve_row_in_place(&mut row, &mut || true);
         assert!(out.completed);
         let expect = run_serial(&sig, &segments, &input);

@@ -19,7 +19,9 @@
 //!   store-to-load-forwarding hazards. The per-block carry fold is the
 //!   only serial dependency, and its carries never leave the register
 //!   file: the next block's broadcasts are lane permutes of the top
-//!   accumulator, not a store + scalar reload.
+//!   accumulator, not a store + scalar reload. The table is a
+//!   parameter, so the same kernels solve a one-tap FIR folded in: the
+//!   impulse response scaled by the tap (see [`crate::blocked`]);
 //! * **steady-state FIR map** — the `fir_in_place` top-of-chunk loop,
 //!   vectorized in descending windows so every load still sees original
 //!   input.
@@ -49,7 +51,7 @@
 //! `*_with` entry points here take an explicit [`Isa`] for differential
 //! tests and benches.
 
-use crate::blocked::{BlockedKernel, BLOCK, MAX_BLOCKED_ORDER};
+use crate::blocked::{seed_carries, BlockedKernel, BLOCK, MAX_BLOCKED_ORDER};
 use crate::element::Element;
 use crate::kernel::{self, KernelTier};
 use crate::serial;
@@ -251,6 +253,11 @@ impl<T: Element> SimdKernel<T> {
         self.inner.feedback()
     }
 
+    /// The blocked formulation whose tables this kernel shares.
+    pub(crate) fn blocked(&self) -> &BlockedKernel<T> {
+        &self.inner
+    }
+
     /// Solves `y[i] = t[i] + Σ b-j·y[i-j]` in place with zero history.
     pub fn solve_in_place(&self, data: &mut [T]) {
         self.solve_in_place_with_history(&[], data);
@@ -261,25 +268,26 @@ impl<T: Element> SimdKernel<T> {
     /// [`serial::recursive_in_place_with_history`].
     pub fn solve_in_place_with_history(&self, history: &[T], data: &mut [T]) {
         let k = self.order();
-        let mut carries = [T::zero(); MAX_BLOCKED_ORDER];
-        for (c, &h) in carries.iter_mut().zip(history.iter().take(k)) {
-            *c = h;
-        }
-        let done = self.solve_vector_blocks(&mut carries, data);
+        let mut carries = seed_carries(history, k);
+        let done = self.solve_vector_blocks(self.inner.impulse(), &mut carries, data);
         let tail = &mut data[done..];
         if !tail.is_empty() {
             serial::recursive_in_place_with_history(self.feedback(), &carries[..k], tail);
         }
     }
 
-    /// Runs the vector kernel over as many full `B`-blocks as fit,
-    /// updating `carries` (most recent output first) and returning the
-    /// element count processed.
-    fn solve_vector_blocks(&self, carries: &mut [T; MAX_BLOCKED_ORDER], data: &mut [T]) -> usize {
-        let k = self.order();
+    /// Runs the vector kernel with impulse table `imp` over as many full
+    /// `B`-blocks as fit, updating `carries` (most recent output first)
+    /// and returning the element count processed.
+    pub(crate) fn solve_vector_blocks(
+        &self,
+        imp: &[T; BLOCK],
+        carries: &mut [T; MAX_BLOCKED_ORDER],
+        data: &mut [T],
+    ) -> usize {
         #[cfg(target_arch = "x86_64")]
         if self.isa != Isa::Portable {
-            let imp = self.inner.impulse();
+            let k = self.order();
             let rows = self.inner.factors();
             if let (Some(d), Some(c)) = (cast_mut::<T, f64>(data), cast_carries::<T, f64>(carries))
             {
@@ -311,15 +319,7 @@ impl<T: Element> SimdKernel<T> {
         }
         // Portable tier (and any unreachable type/ISA residue): the
         // blocked formulation, block by block.
-        let n = data.len() - data.len() % BLOCK;
-        for block in data[..n].chunks_exact_mut(BLOCK) {
-            let block: &mut [T; BLOCK] = block.try_into().expect("exact chunks");
-            self.inner.solve_block(block, carries);
-            for (r, c) in carries.iter_mut().enumerate().take(k) {
-                *c = block[BLOCK - 1 - r];
-            }
-        }
-        n
+        self.inner.solve_blocks(imp, carries, data)
     }
 }
 

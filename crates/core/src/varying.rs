@@ -71,6 +71,11 @@ use crate::kernel::KernelKind;
 /// with constant stretches use one or two distinct rows.
 const MAX_DISTINCT_KERNELS: usize = 16;
 
+/// Elements between the exact-zero horizon tests of
+/// [`VaryingPlan::correct_chunk`]: the correction pass stops at the first
+/// multiple of this (from the chunk start) where its carry is exactly zero.
+pub const HORIZON_STRIDE: usize = 64;
+
 /// A time-varying (and optionally affine) recurrence of order `k`, bound
 /// to a fixed input length: one `k`-coefficient feedback row per element,
 /// plus an optional per-element offset stream.
@@ -381,6 +386,11 @@ fn solve_span<T: Element>(sig: &VaryingSignature<T>, start: usize, state: &[T], 
     }
 }
 
+/// Whether every coefficient of a row is finite (always for integers).
+fn row_finite<T: Element>(row: &[T]) -> bool {
+    !T::IS_FLOAT || row.iter().all(|a| a.to_f64().is_finite())
+}
+
 /// Outcome of [`VaryingPlan::solve_chunk`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct VaryingSolve<T> {
@@ -413,6 +423,9 @@ pub struct VaryingPlan<T> {
     matrices: Vec<Matrix<T>>,
     kernels: Vec<SolveKernel<T>>,
     chunk_kernel: Vec<Option<u16>>,
+    /// Per chunk: every coefficient is finite, so a carry that reaches
+    /// exactly zero stays zero (the correction's horizon may end it).
+    finite: Vec<bool>,
 }
 
 impl<T: Element> VaryingPlan<T> {
@@ -441,6 +454,7 @@ impl<T: Element> VaryingPlan<T> {
         let mut matrices = Vec::with_capacity(num_chunks);
         let mut kernels: Vec<SolveKernel<T>> = Vec::new();
         let mut chunk_kernel = Vec::with_capacity(num_chunks);
+        let mut finite = Vec::with_capacity(num_chunks);
         for c in 0..num_chunks {
             let start = c * m;
             let len = m.min(n - start);
@@ -459,18 +473,21 @@ impl<T: Element> VaryingPlan<T> {
                 _ => None,
             };
             chunk_kernel.push(kernel);
-            let matrix = match constant {
+            let (matrix, all_finite) = match constant {
                 // A constant chunk's transition is a companion power.
-                Some(row) => Matrix::companion(row).pow(len as u64),
+                Some(row) => (Matrix::companion(row).pow(len as u64), row_finite(row)),
                 None => {
                     let mut mtx = Matrix::identity(k);
+                    let mut all_finite = true;
                     for i in start..start + len {
+                        all_finite &= row_finite(sig.row(i));
                         mtx.companion_push(sig.row(i));
                     }
-                    mtx
+                    (mtx, all_finite)
                 }
             };
             matrices.push(matrix);
+            finite.push(all_finite);
         }
         Ok(VaryingPlan {
             sig,
@@ -478,6 +495,7 @@ impl<T: Element> VaryingPlan<T> {
             matrices,
             kernels,
             chunk_kernel,
+            finite,
         })
     }
 
@@ -617,30 +635,54 @@ impl<T: Element> VaryingPlan<T> {
     /// forward companion pass `v ← C_i·v`, `y[i] += v[0]`, seeded with
     /// the predecessor's global state. `O(k)` per element; the order-1
     /// fast path is the scalar loop `v *= a[i]; y[i] += v`.
+    ///
+    /// The pass ends at the exact-zero horizon in chunks whose
+    /// coefficients are all finite: once the running carry vector `v` is
+    /// exactly zero, `0·a[i]` stays zero and every remaining `y[i] += 0`
+    /// is a no-op (the time-varying analogue of truncating a decayed
+    /// factor list). `v` is tested every [`HORIZON_STRIDE`] elements, so
+    /// a pass that never reaches zero pays one test per stride, not one
+    /// per element. The one visible difference is that a `-0.0` output
+    /// past the stride where the pass stopped keeps its sign instead of
+    /// becoming `+0.0`.
     pub fn correct_chunk(&self, c: usize, carry: &[T], data: &mut [T]) {
         let k = self.sig.order();
         let start = c * self.chunk_size;
+        let horizon = self.finite[c];
         if k == 1 {
-            let a = self.sig.coeffs();
+            let a = &self.sig.coeffs()[start..start + data.len()];
             let mut v = carry[0];
-            for (i, y) in data.iter_mut().enumerate() {
-                v = v.mul(a[start + i]);
-                *y = y.add(v);
+            for (ys, a) in data
+                .chunks_mut(HORIZON_STRIDE)
+                .zip(a.chunks(HORIZON_STRIDE))
+            {
+                if horizon && v.is_zero() {
+                    return;
+                }
+                for (y, &ai) in ys.iter_mut().zip(a) {
+                    v = v.mul(ai);
+                    *y = y.add(v);
+                }
             }
             return;
         }
         let mut v = carry.to_vec();
-        for (i, y) in data.iter_mut().enumerate() {
-            let row = self.sig.row(start + i);
-            let mut head = T::zero();
-            for (j, &a) in row.iter().enumerate() {
-                head = head.add(a.mul(v[j]));
+        for (b, ys) in data.chunks_mut(HORIZON_STRIDE).enumerate() {
+            if horizon && v.iter().all(|x| x.is_zero()) {
+                return;
             }
-            for j in (1..k).rev() {
-                v[j] = v[j - 1];
+            for (i, y) in ys.iter_mut().enumerate() {
+                let row = self.sig.row(start + b * HORIZON_STRIDE + i);
+                let mut head = T::zero();
+                for (j, &a) in row.iter().enumerate() {
+                    head = head.add(a.mul(v[j]));
+                }
+                for j in (1..k).rev() {
+                    v[j] = v[j - 1];
+                }
+                v[0] = head;
+                *y = y.add(head);
             }
-            v[0] = head;
-            *y = y.add(head);
         }
     }
 }

@@ -19,7 +19,6 @@ use crate::pool::{
 use crate::runner::{ParallelRunner, RunnerConfig};
 use crate::stats::RunStats;
 use crate::stream::RowStream;
-use plr_core::blocked::fir_in_place;
 use plr_core::element::Element;
 use plr_core::error::EngineError;
 use plr_core::kernel::KernelKind;
@@ -41,8 +40,8 @@ struct CachedInner<T> {
 }
 
 /// The per-row unit of work shared by the blocking whole-rows path and
-/// the streaming layer: in-place FIR map (skipped for pure-feedback
-/// signatures) followed by the in-place local solve, both timed.
+/// the streaming layer: one timed in-place pass that maps (the FIR, folded
+/// into the solve kernel) and solves the row.
 ///
 /// Extracted from `run_whole_rows` so `BatchRunner::run_rows` and
 /// [`RowStream`] dispatch rows through literally the same code — a
@@ -63,8 +62,6 @@ enum TaskInner<T> {
         plan: Arc<CorrectionPlan<T>>,
         /// Whether the plan came from the shared cache (reported in stats).
         cache_hit: bool,
-        /// Pure-feedback signatures have no FIR map stage at all.
-        pure: bool,
     },
     /// Per-element coefficients: the matrix-carry chunk plan, solved as a
     /// fused sequential sweep within the row (rows are independent, so
@@ -91,11 +88,7 @@ impl<T: Element> RowTask<T> {
     pub fn new(signature: &Signature<T>) -> Self {
         let (plan, cache_hit) = plan::plan_for(signature, PlanRequest::new::<T>(0));
         RowTask {
-            inner: TaskInner::Constant {
-                plan,
-                cache_hit,
-                pure: signature.is_pure_feedback(),
-            },
+            inner: TaskInner::Constant { plan, cache_hit },
         }
     }
 
@@ -131,11 +124,12 @@ impl<T: Element> RowTask<T> {
         }
     }
 
-    /// Solves one row in place, returning `(fir_nanos, solve_nanos,
-    /// solve_slices)`. The local solve is time-sliced against `abort`, so
-    /// a cancel or deadline lands mid-row instead of after it; on an
-    /// abort the row is left partially solved and the caller's
-    /// reason-derived resolution reports the outcome.
+    /// Solves one raw row in place in one pass (the FIR map, if any, runs
+    /// inside the solve kernel), returning `(solve_nanos, solve_slices)`.
+    /// The solve is time-sliced against `abort`, so a cancel or deadline
+    /// lands mid-row instead of after it; on an abort the row is left
+    /// partially solved and the caller's reason-derived resolution
+    /// reports the outcome.
     ///
     /// The worker/row indices feed the fault harness's `Solve` site (the
     /// same site the blocking path consults); they are unused otherwise.
@@ -145,32 +139,21 @@ impl<T: Element> RowTask<T> {
         _worker: usize,
         _index: usize,
         abort: Option<&AbortSignal>,
-    ) -> (u64, u64, u64) {
-        match &self.inner {
-            TaskInner::Constant { plan, pure, .. } => {
-                let mut fir_ns = 0u64;
-                if !pure {
-                    let start = Instant::now();
-                    fir_in_place(plan.fir(), &[], 0, row);
-                    fir_ns = start.elapsed().as_nanos() as u64;
-                }
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Solve, _worker, _index, abort);
-                let start = Instant::now();
-                let solved = plan
-                    .solve()
-                    .solve_in_place_sliced(row, &mut || abort.is_none_or(|a| !a.is_aborted()));
-                (fir_ns, start.elapsed().as_nanos() as u64, solved.slices)
-            }
+    ) -> (u64, u64) {
+        if let Some(expected) = self.bound_len() {
+            assert_eq!(
+                row.len(),
+                expected,
+                "row length must match the plan's bound length"
+            );
+        }
+        #[cfg(feature = "fault-inject")]
+        crate::fault::check(crate::fault::FaultSite::Solve, _worker, _index, abort);
+        let keep_going = &mut || abort.is_none_or(|a| !a.is_aborted());
+        let start = Instant::now();
+        let slices = match &self.inner {
+            TaskInner::Constant { plan, .. } => plan.solve_raw_sliced(&[], row, keep_going).slices,
             TaskInner::Varying { plan } => {
-                assert_eq!(
-                    row.len(),
-                    plan.len(),
-                    "varying row length must match the signature's bound length"
-                );
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Solve, _worker, _index, abort);
-                let start = Instant::now();
                 // Fused sequential sweep over the plan's chunks: each
                 // continues from the previous chunk's real state, reusing
                 // constant-row kernels where the plan selected them.
@@ -180,39 +163,20 @@ impl<T: Element> RowTask<T> {
                 for c in 0..plan.num_chunks() {
                     let s = c * m;
                     let chunk = &mut row[s..(s + m).min(plan.len())];
-                    let out = plan.solve_chunk(c, Some(&state), chunk, &mut || {
-                        abort.is_none_or(|a| !a.is_aborted())
-                    });
+                    let out = plan.solve_chunk(c, Some(&state), chunk, keep_going);
                     slices += out.slices;
                     if !out.completed {
                         break;
                     }
                     state = out.state;
                 }
-                (0, start.elapsed().as_nanos() as u64, slices)
+                slices
             }
-            TaskInner::Segmented { plan } => {
-                assert_eq!(
-                    row.len(),
-                    plan.len(),
-                    "segmented row length must match the plan's bound length"
-                );
-                let mut fir_ns = 0u64;
-                if !plan.is_pure_feedback() {
-                    let start = Instant::now();
-                    plan.fir_row_in_place(row);
-                    fir_ns = start.elapsed().as_nanos() as u64;
-                }
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Solve, _worker, _index, abort);
-                let start = Instant::now();
-                // Each segment solves from zero (real) history — whole-row
-                // dispatch needs no correction, segmented or not.
-                let solved =
-                    plan.solve_row_in_place(row, &mut || abort.is_none_or(|a| !a.is_aborted()));
-                (fir_ns, start.elapsed().as_nanos() as u64, solved.slices)
-            }
-        }
+            // Each segment maps and solves from zero (real) history —
+            // whole-row dispatch needs no correction, segmented or not.
+            TaskInner::Segmented { plan } => plan.solve_row_in_place(row, keep_going).slices,
+        };
+        (start.elapsed().as_nanos() as u64, slices)
     }
 
     /// Strategy summary reported in per-row stats ([`PlanKind::Unplanned`]
@@ -491,7 +455,6 @@ pub(crate) fn run_task_rows<T: Element>(
     ctl: &RunControl,
 ) -> Result<RunStats, EngineError> {
     let rows = data.len() / width;
-    let fir_nanos = AtomicU64::new(0);
     let solve_nanos = AtomicU64::new(0);
     let solve_slices = AtomicU64::new(0);
     let aborts = AtomicU64::new(0);
@@ -499,7 +462,7 @@ pub(crate) fn run_task_rows<T: Element>(
     let tickets = Tickets::new(rows);
     let base = SendPtr::new(data.as_mut_ptr());
     pool.run_ctl(ctl, |worker, abort| {
-        let (mut fir_ns, mut solve_ns, mut slices) = (0u64, 0u64, 0u64);
+        let (mut solve_ns, mut slices) = (0u64, 0u64);
         while let Some(r) = tickets.claim() {
             if abort.is_aborted() {
                 aborts.fetch_add(1, Ordering::Relaxed);
@@ -508,12 +471,10 @@ pub(crate) fn run_task_rows<T: Element>(
             // SAFETY: unique tickets make the rows disjoint; `data`
             // outlives the blocking `pool.run_ctl` call.
             let row = unsafe { std::slice::from_raw_parts_mut(base.ptr().add(r * width), width) };
-            let (f, s, sl) = task.apply(row, worker, r, Some(abort));
-            fir_ns += f;
+            let (s, sl) = task.apply(row, worker, r, Some(abort));
             solve_ns += s;
             slices += sl;
         }
-        fir_nanos.fetch_add(fir_ns, Ordering::Relaxed);
         solve_nanos.fetch_add(solve_ns, Ordering::Relaxed);
         solve_slices.fetch_add(slices, Ordering::Relaxed);
     })
@@ -524,7 +485,6 @@ pub(crate) fn run_task_rows<T: Element>(
         threads: pool.width() as u64,
         aborts: aborts.load(Ordering::Relaxed),
         workers_recovered: pool.recovered_workers() - recovered_before,
-        fir_nanos: fir_nanos.load(Ordering::Relaxed),
         solve_nanos: solve_nanos.load(Ordering::Relaxed),
         plan_cache_hits: task.plan_cache_hits(),
         plan_cache_misses: task.plan_cache_misses(),
@@ -566,8 +526,9 @@ mod tests {
 
     #[test]
     fn fir_rows_match_reference() {
-        // A signature with a real map stage exercises the in-place FIR on
-        // the whole-rows path.
+        // A signature with a real map stage exercises the FIR folded into
+        // the solve on the whole-rows path: one timed pass, no separate
+        // FIR phase.
         let sig: Signature<f64> = "0.81,-1.62,0.81:1.6,-0.64".parse().unwrap();
         let width = 96;
         let rows = 40;
@@ -577,11 +538,9 @@ mod tests {
         let mut got = data.clone();
         let runner = BatchRunner::new(sig.clone(), 4);
         let stats = runner.run_rows(&mut got, width).unwrap();
-        assert!(
-            stats.fir_nanos > 0,
-            "FIR stage must be timed on the rows path"
-        );
         validate(&reference(&sig, &data, width), &got, 1e-9).unwrap();
+        assert_eq!(stats.fir_nanos, 0, "the FIR runs inside the solve");
+        assert!(stats.solve_nanos > 0, "the one pass must be timed");
     }
 
     #[test]

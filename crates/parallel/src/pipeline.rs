@@ -3,14 +3,15 @@
 //!
 //! This is the paper's Phase 2 mapped onto CPU threads. Workers live in a
 //! persistent [`WorkerPool`] and claim chunks in order from an atomic
-//! ticket counter. Each worker maps its chunk in place (the FIR stage;
-//! cross-boundary inputs are stashed up front), solves it, and publishes
-//! its carries: *local* (zero-history) carries when the chunk still needs
-//! its predecessor's globals, or *global* carries straight away when it
-//! already has real history (chunk 0, a fused chunk, a reset chunk's
-//! tail). A chunk that published locals then derives its predecessor's
-//! globals by variable look-back over published carries, corrects itself,
-//! and publishes its own globals.
+//! ticket counter. Each worker solves its chunk in place in one pass over
+//! memory — the FIR map runs inside the solve kernel, reading the raw
+//! inputs left of the chunk from a boundary stash taken up front — and
+//! publishes its carries: *local* (zero-history) carries when the chunk
+//! still needs its predecessor's globals, or *global* carries straight
+//! away when it already has real history (chunk 0, a fused chunk, a reset
+//! chunk's tail). A chunk that published locals then derives its
+//! predecessor's globals by variable look-back over published carries,
+//! corrects itself, and publishes its own globals.
 //!
 //! The three families differ only in their carry algebra:
 //!
@@ -79,21 +80,12 @@ pub trait CarryAlgebra: Sync {
         None
     }
 
-    /// Stashes the original inputs each chunk's in-place map reads from
-    /// across its left boundary (empty when the map never does).
+    /// Stashes, for each chunk after the first, the raw inputs its FIR
+    /// reads from across its left boundary: by the time its worker reads
+    /// them, the owner of that data may already have overwritten it with
+    /// outputs. Empty when no FIR ever reaches across a boundary.
     fn stash(&self, _data: &[Self::Elem]) -> Vec<Vec<Self::Elem>> {
         Vec::new()
-    }
-
-    /// The map stage (the FIR) of chunk `c`, in place, timed into
-    /// `fir_nanos`.
-    fn map_chunk(
-        &self,
-        _chunk: &mut [Self::Elem],
-        _c: usize,
-        _stash: &[Vec<Self::Elem>],
-        _fir_nanos: &mut u64,
-    ) {
     }
 
     /// Whether chunks after the first may fuse on a pool of `width`
@@ -103,13 +95,16 @@ pub trait CarryAlgebra: Sync {
         false
     }
 
-    /// Solves chunk `c` — locally, or from the predecessor's globals
-    /// `prev` when fusing; it may also skip the solve outright — and
-    /// returns what to publish, or `None` when `keep_going` stopped it.
+    /// Solves raw chunk `c` in one pass, FIR included (`stash` is its
+    /// boundary stash, empty for chunk 0) — locally, or from the
+    /// predecessor's globals `prev` when fusing; it may also skip the
+    /// solve outright — and returns what to publish, or `None` when
+    /// `keep_going` stopped it.
     fn solve(
         &self,
         c: usize,
         chunk: &mut [Self::Elem],
+        stash: &[Self::Elem],
         prev: Option<&[Self::Elem]>,
         tally: &mut RunStats,
         keep_going: &mut dyn FnMut() -> bool,
@@ -287,7 +282,10 @@ impl<A: CarryAlgebra> Run<'_, A> {
         tally: &mut RunStats,
     ) -> bool {
         let alg = self.alg;
-        alg.map_chunk(chunk, c, &self.stash, &mut tally.fir_nanos);
+        let stash = c
+            .checked_sub(1)
+            .and_then(|b| self.stash.get(b))
+            .map_or(&[][..], Vec::as_slice);
         let prev = match c {
             0 => None,
             _ if alg.fuses(width) => self.slots[c - 1].global.get().map(Vec::as_slice),
@@ -298,7 +296,7 @@ impl<A: CarryAlgebra> Run<'_, A> {
         // The solve is time-sliced so a cancel or deadline lands
         // mid-chunk, not after it.
         let start = Instant::now();
-        let step = alg.solve(c, chunk, prev, tally, &mut || !abort.is_aborted());
+        let step = alg.solve(c, chunk, stash, prev, tally, &mut || !abort.is_aborted());
         tally.solve_nanos += start.elapsed().as_nanos() as u64;
         let slot = &self.slots[c];
         let (limit, corrected_publishes) = match step {

@@ -18,11 +18,10 @@
 //!   reset-aware look-back and a sparse fast path.
 
 use crate::batch::run_task_rows;
-use crate::pipeline::{self, timed, CarryAlgebra, RowAlgebra, Step};
+use crate::pipeline::{self, CarryAlgebra, RowAlgebra, Step};
 use crate::pool::{resolve_threads, CancelToken, RunControl, WorkerPool};
 use crate::stats::RunStats;
 use crate::stream::RowStream;
-use plr_core::blocked::fir_in_place;
 use plr_core::element::Element;
 use plr_core::engine::MAX_INPUT_LEN;
 use plr_core::error::EngineError;
@@ -421,11 +420,9 @@ impl<T: Element> CarryAlgebra for ConstantPlan<T> {
         self.correction.chunk_size()
     }
 
-    /// The stash is what lets the map stage run in place: by the time a
-    /// worker reads across its left boundary, the owner of that data may
-    /// already have overwritten it with mapped values. Chunks after the
-    /// first stash the `p - 1` inputs before their start (fewer near the
-    /// front of the data).
+    /// Chunks after the first stash the `p - 1` raw inputs before their
+    /// start (fewer near the front of the data); a one-tap FIR never
+    /// reads across a chunk boundary.
     fn stash(&self, data: &[T]) -> Vec<Vec<T>> {
         let p = self.correction.fir().len();
         if self.correction.signature().is_pure_feedback() || p <= 1 {
@@ -437,35 +434,16 @@ impl<T: Element> CarryAlgebra for ConstantPlan<T> {
             .collect()
     }
 
-    fn map_chunk(&self, chunk: &mut [T], c: usize, stash: &[Vec<T>], fir_nanos: &mut u64) {
-        if self.correction.signature().is_pure_feedback() {
-            return;
-        }
-        // The stash is empty when `p <= 1`: a one-tap FIR never reads
-        // across a chunk boundary.
-        let prev: &[T] = if c == 0 || stash.is_empty() {
-            &[]
-        } else {
-            &stash[c - 1]
-        };
-        let start = c * self.chunk_size();
-        timed(fir_nanos, || {
-            fir_in_place(self.correction.fir(), prev, start, chunk)
-        });
-    }
-
     fn solve(
         &self,
         c: usize,
         chunk: &mut [T],
+        stash: &[T],
         _prev: Option<&[T]>,
         tally: &mut RunStats,
         keep_going: &mut dyn FnMut() -> bool,
     ) -> Option<Step<T>> {
-        let solved = self
-            .correction
-            .solve()
-            .solve_in_place_sliced(chunk, keep_going);
+        let solved = self.correction.solve_raw_sliced(stash, chunk, keep_going);
         tally.solve_slices += solved.slices;
         solved
             .completed
@@ -499,6 +477,7 @@ impl<T: Element> CarryAlgebra for ConstantPlan<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plr_core::blocked::fir_in_place;
     use plr_core::serial;
     use plr_core::validate::validate;
 
@@ -763,9 +742,11 @@ mod tests {
             },
         )
         .unwrap();
+        let expect = serial::run(runner.plan().signature(), &input);
         let stats = runner.run_in_place(&mut input).unwrap();
+        validate(&expect, &input, 1e-6).unwrap();
         assert!(stats.solve_nanos > 0, "local solve must be timed");
-        assert!(stats.fir_nanos > 0, "FIR stage must be timed");
+        assert_eq!(stats.fir_nanos, 0, "the FIR runs inside the solve");
         assert!(stats.correct_nanos > 0, "correction must be timed");
         assert!(
             stats.busy_nanos() >= stats.solve_nanos,

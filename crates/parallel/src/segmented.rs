@@ -10,12 +10,13 @@
 //! run the ordinary pipeline, with the one twist that a correction is
 //! clipped at the first in-chunk boundary.
 //!
-//! The sparse fast path rides the same classification: a chunk whose
-//! post-FIR input is entirely zero solves to zero bit-exactly, so its
-//! local solve is skipped outright — the correction pass *is* its output,
-//! and its global carries reduce to the factor-table fix-up (a
-//! companion-power multiply) of zero locals. `RunStats` reports both
-//! classifications (`reset_chunks`, `skipped_chunks`).
+//! The sparse fast path rides the same classification: a chunk whose raw
+//! input and boundary stash are entirely zero maps and solves to zero, so
+//! its local solve is skipped outright — the chunk is read once, the
+//! correction pass (if any reaches it) *is* its output, and its global
+//! carries reduce to the factor-table fix-up (a companion-power multiply)
+//! of zero locals. `RunStats` reports both classifications
+//! (`reset_chunks`, `skipped_chunks`).
 //!
 //! Progress argument (extending [`ParallelRunner`]'s): tickets are claimed
 //! in order, interior chunks publish locals before any waiting, reset
@@ -27,7 +28,7 @@
 //! [`ParallelRunner`]: crate::ParallelRunner
 
 use crate::batch::RowTask;
-use crate::pipeline::{timed, CarryAlgebra, RowAlgebra, Step};
+use crate::pipeline::{CarryAlgebra, RowAlgebra, Step};
 use crate::runner::{Runner, RunnerConfig};
 use crate::stats::RunStats;
 use plr_core::element::Element;
@@ -128,27 +129,25 @@ impl<T: Element> CarryAlgebra for SegmentedPlan<T> {
         self.stash_boundaries(data)
     }
 
-    fn map_chunk(&self, chunk: &mut [T], c: usize, stash: &[Vec<T>], fir_nanos: &mut u64) {
-        timed(fir_nanos, || self.fir_chunk(chunk, c, stash));
-    }
-
     fn solve(
         &self,
         c: usize,
         chunk: &mut [T],
+        stash: &[T],
         _prev: Option<&[T]>,
         tally: &mut RunStats,
         keep_going: &mut dyn FnMut() -> bool,
     ) -> Option<Step<T>> {
-        // Sparse fast path: an all-zero post-FIR chunk solves to zero
-        // bit-exactly, so skip the local solve outright; the correction
-        // pass is its entire output, and its carries follow from the
-        // factor-table fix-up of zero locals — identical code to the
-        // dense path from here on.
-        if self.sparse() && all_zero(chunk) {
+        // Sparse fast path: a chunk whose raw input and stash are all
+        // zero maps and solves to zero, so skip the solve outright — the
+        // chunk is read once and the solve never writes it; the
+        // correction pass is its entire output, and its carries follow
+        // from the factor-table fix-up of zero locals — identical code to
+        // the dense path from here on.
+        if self.sparse() && all_zero(chunk) && all_zero(stash) {
             tally.skipped_chunks += 1;
         } else {
-            let solved = self.solve_chunk(chunk, c, keep_going);
+            let solved = self.solve_chunk(chunk, c, stash, keep_going);
             tally.solve_slices += solved.slices;
             if !solved.completed {
                 return None;

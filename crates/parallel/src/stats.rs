@@ -73,11 +73,19 @@ pub struct RunStats {
     /// failed spawns that succeeded this time. (Approximate when several
     /// runners share one pool concurrently.)
     pub workers_recovered: u64,
-    /// Wall time spent in the FIR map stage, summed across workers
-    /// (nanoseconds; zero for pure-feedback signatures).
+    /// Wall time spent in a *standalone* FIR map pass, summed across
+    /// workers (nanoseconds). Zero whenever the FIR runs inside the solve
+    /// — which is every executor in this crate: chunks, whole rows and
+    /// streamed rows all map and solve in one pass
+    /// ([`SolveKernel::solve_fir_in_place_sliced`]), so their FIR time is
+    /// part of [`solve_nanos`](RunStats::solve_nanos). The field stays so
+    /// records keep one schema across versions (and so an executor that
+    /// ever maps in a pass of its own has a place to report it).
+    ///
+    /// [`SolveKernel::solve_fir_in_place_sliced`]: plr_core::blocked::SolveKernel::solve_fir_in_place_sliced
     pub fir_nanos: u64,
     /// Wall time spent in per-chunk local solves, summed across workers
-    /// (nanoseconds).
+    /// (nanoseconds). Includes the FIR map, which runs inside the solve.
     pub solve_nanos: u64,
     /// Wall time spent resolving global carries by look-back, summed
     /// across workers (nanoseconds).
@@ -123,8 +131,8 @@ pub struct RunStats {
     /// final straight off the local solve, and look-back from later
     /// chunks terminated at them). Zero for unsegmented runs.
     pub reset_chunks: u64,
-    /// Chunks whose post-FIR input was entirely zero and whose local
-    /// solve was therefore skipped on the sparse fast path — their output
+    /// Chunks whose raw input and boundary stash were entirely zero and
+    /// whose local solve was therefore skipped on the sparse fast path — their output
     /// is the correction pass alone, and their carries reduce to the
     /// factor-power fix-up of zero locals. Zero when the sparse path is
     /// disabled or never matched.

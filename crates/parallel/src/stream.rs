@@ -613,7 +613,7 @@ fn process_one<T: Element>(
     drop(row_att);
     drop(run_att);
     match outcome {
-        Ok((fir_nanos, solve_nanos, solve_slices)) => {
+        Ok((solve_nanos, solve_slices)) => {
             let result = match abort.reason() {
                 // A bare WorkerFault is job-owned elsewhere; nothing trips
                 // it on a per-row signal, so treat it as clean.
@@ -621,7 +621,6 @@ fn process_one<T: Element>(
                     rows: 1,
                     chunks: 1,
                     threads: 1,
-                    fir_nanos,
                     solve_nanos,
                     plan_kind: task.plan_kind(),
                     kernel: task.kernel_kind(),

@@ -132,6 +132,7 @@ impl<T: Element> CarryAlgebra for VaryingPlan<T> {
         &self,
         c: usize,
         chunk: &mut [T],
+        _stash: &[T],
         prev: Option<&[T]>,
         tally: &mut RunStats,
         keep_going: &mut dyn FnMut() -> bool,

@@ -231,3 +231,101 @@ fn cancel_token_interrupts_a_single_chunk_solve() {
         "cancel landed only after the whole chunk was solved"
     );
 }
+
+/// The FIR folded into the solve, end to end on every forced tier: the
+/// constant runner, the segmented runner and whole rows (`RowTask`)
+/// against the serial oracles, for 1–6 taps (both sides of
+/// `MAX_FIR_TAPS`; zero taps cannot form a `Signature` and are covered
+/// by the core gauntlet), chunk sizes that are not multiples of the
+/// kernel block — some shorter than the FIR's reach — and segment
+/// starts just before and just after chunk starts, inside the reach.
+/// Integers must match exactly, floats within `4096·ε·scale`.
+#[test]
+fn fused_fir_gauntlet_across_tiers_and_executors() {
+    use plr_core::segmented::{run_serial, Segments};
+    use plr_parallel::SegmentedRunner;
+    let _g = serialize();
+    let _t = TierGuard;
+    let n = 3 * 1000 + 7;
+    let data = input(n);
+    let floats: Vec<f64> = data.iter().map(|&v| v as f64 * 0.25).collect();
+    for tier in [
+        KernelTier::Scalar,
+        KernelTier::Blocked,
+        KernelTier::Simd,
+        KernelTier::Auto,
+    ] {
+        set_kernel_override(Some(tier));
+        for p in 1..=6i64 {
+            let ff: Vec<i64> = (0..p).map(|j| [3, -2, 1, 2, -1, 1][j as usize]).collect();
+            for fb in [vec![1i64], vec![2, -1], vec![1, 0, 1]] {
+                let sig = Signature::new(ff.clone(), fb.clone()).unwrap();
+                let expect = serial::run(&sig, &data);
+                for chunk in [3usize, 5, 100, 1000] {
+                    let config = RunnerConfig {
+                        chunk_size: chunk,
+                        threads: 2,
+                        ..Default::default()
+                    };
+                    let ctx = format!("{tier:?} {sig:?} chunk {chunk}");
+                    let runner = ParallelRunner::with_config(sig.clone(), config).unwrap();
+                    let stats = runner.run_in_place(&mut data.clone()).unwrap();
+                    assert_eq!(stats.fir_nanos, 0, "{ctx}: the FIR runs inside the solve");
+                    assert_eq!(runner.run(&data).unwrap(), expect, "{ctx}: constant");
+
+                    let mut starts: Vec<usize> = (1..n / chunk + 1)
+                        .flat_map(|c| [c * chunk - 1, c * chunk + 1, c * chunk + 2])
+                        .filter(|&s| s < n)
+                        .collect();
+                    starts.sort_unstable();
+                    starts.dedup();
+                    let segments = Segments::from_starts(starts).unwrap();
+                    let seg =
+                        SegmentedRunner::with_config(sig.clone(), segments.clone(), n, config)
+                            .unwrap();
+                    assert_eq!(
+                        seg.run(&data).unwrap(),
+                        run_serial(&sig, &segments, &data),
+                        "{ctx}: segmented"
+                    );
+                }
+                let width = 97;
+                let rows = &data[..width * 8];
+                let mut got = rows.to_vec();
+                BatchRunner::new(sig.clone(), 2)
+                    .run_rows(&mut got, width)
+                    .unwrap();
+                let want: Vec<i64> = rows
+                    .chunks(width)
+                    .flat_map(|r| serial::run(&sig, r))
+                    .collect();
+                assert_eq!(got, want, "{tier:?} {sig:?}: rows");
+            }
+            let fsig: Signature<f64> = Signature::new(
+                ff.iter().map(|&v| v as f64 * 0.5).collect(),
+                vec![1.6, -0.64],
+            )
+            .unwrap();
+            let expect = serial::run(&fsig, &floats);
+            let scale = expect.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+            for chunk in [5usize, 100, 1000] {
+                let runner = ParallelRunner::with_config(
+                    fsig.clone(),
+                    RunnerConfig {
+                        chunk_size: chunk,
+                        threads: 2,
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
+                let got = runner.run(&floats).unwrap();
+                for (i, (a, b)) in expect.iter().zip(&got).enumerate() {
+                    assert!(
+                        (a - b).abs() <= 4096.0 * f64::EPSILON * scale,
+                        "{tier:?} p={p} chunk {chunk} index {i}: {a} vs {b}"
+                    );
+                }
+            }
+        }
+    }
+}

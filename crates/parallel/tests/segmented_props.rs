@@ -31,8 +31,11 @@ use proptest::prelude::*;
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Serializes tests that flip process-global state (the plan-cache
-/// switch, the fault-injection plan) against each other.
+/// Serializes every test in this binary. Some flip process-global state
+/// (the kernel-tier override, the plan-cache switch), and under
+/// `--features fault-inject` the fault legs arm a process-global
+/// `FaultPlan` that any run in flight on another test thread could
+/// consume — so every leg, fault leg or not, holds this lock.
 static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock_global() -> std::sync::MutexGuard<'static, ()> {
@@ -180,6 +183,7 @@ fn all_executor_outputs<T: Element>(
 /// ragged chunk geometries, and thread counts.
 #[test]
 fn int_executors_bit_exact_across_orders_geometries_chunks_threads() {
+    let _g = lock_global();
     let n = 1537;
     let input = int_input(n);
     for k in 1..=4usize {
@@ -210,6 +214,7 @@ fn int_executors_bit_exact_across_orders_geometries_chunks_threads() {
 /// the plain serial evaluator bit-for-bit.
 #[test]
 fn single_segment_equals_unsegmented_run() {
+    let _g = lock_global();
     let n = 3000;
     let input = int_input(n);
     let segments = Segments::from_starts(vec![0]).unwrap();
@@ -228,6 +233,7 @@ fn single_segment_equals_unsegmented_run() {
 /// bound carries over unchanged.
 #[test]
 fn contractive_floats_within_ulps_of_reference() {
+    let _g = lock_global();
     let n = 6000;
     let input = positive_input(n);
     for k in 1..=4usize {
@@ -260,6 +266,7 @@ fn contractive_floats_within_ulps_of_reference() {
 /// serial reference.
 #[test]
 fn sparse_skip_matches_dense_on_zero_padded_ints() {
+    let _g = lock_global();
     let n = 8192;
     let chunk = 256;
     let segments = Segments::uniform(1000, n);
@@ -302,6 +309,7 @@ fn sparse_skip_matches_dense_on_zero_padded_ints() {
 /// differences are forbidden.
 #[test]
 fn sparse_skip_is_bit_identical_to_dense_on_floats() {
+    let _g = lock_global();
     let n = 8192;
     let chunk = 256;
     let segments = Segments::uniform(1500, n);
@@ -341,6 +349,7 @@ fn sparse_skip_is_bit_identical_to_dense_on_floats() {
 /// segment existed).
 #[test]
 fn empty_input_runs_to_empty_result_everywhere() {
+    let _g = lock_global();
     let segments = Segments::uniform(4, 0);
     assert!(
         segments.starts().is_empty(),
@@ -422,6 +431,7 @@ fn segmented_runs_bypass_the_constant_plan_cache() {
 /// segmented run before it touches the data.
 #[test]
 fn pre_cancelled_token_and_zero_deadline_reject_promptly() {
+    let _g = lock_global();
     let n = 4096;
     let segments = Segments::uniform(500, n);
     let sig = int_sig(2);
@@ -472,6 +482,7 @@ proptest! {
         chunk_sel in 0usize..3,
         threads in 1usize..=4,
     ) {
+        let _g = lock_global();
         let sig = int_sig(k);
         let mut rng = xorshift(seed);
         let mut starts = vec![0usize];

@@ -28,8 +28,11 @@ use plr_parallel::VaryingRunner;
 use proptest::prelude::*;
 use std::sync::Mutex;
 
-/// Serializes tests that flip process-global state (the kernel-tier
-/// override, the plan-cache switch) against each other.
+/// Serializes every test in this binary. Some flip process-global state
+/// (the kernel-tier override, the plan-cache switch), and under
+/// `--features fault-inject` the fault legs arm a process-global
+/// `FaultPlan` that any run in flight on another test thread could
+/// consume — so every leg, fault leg or not, holds this lock.
 static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock_global() -> std::sync::MutexGuard<'static, ()> {
@@ -159,6 +162,7 @@ fn all_executor_outputs<T: Element>(
 /// counts.
 #[test]
 fn int_executors_bit_exact_across_orders_chunks_threads() {
+    let _g = lock_global();
     let n = 1537;
     let input = int_input(n);
     for k in 1..=4usize {
@@ -184,6 +188,7 @@ fn int_executors_bit_exact_across_orders_chunks_threads() {
 /// bit-exact everywhere.
 #[test]
 fn int_offsets_bit_exact() {
+    let _g = lock_global();
     let n = 997;
     let input = int_input(n);
     let mut rng = xorshift(0x0ff5e7);
@@ -212,6 +217,7 @@ fn positive_input(n: usize) -> Vec<f64> {
 /// distance meaningless — are covered by the relative-bound leg below.)
 #[test]
 fn contractive_floats_within_ulps_of_reference() {
+    let _g = lock_global();
     let n = 6000;
     let input = positive_input(n);
     for k in 1..=4usize {
@@ -239,6 +245,7 @@ fn contractive_floats_within_ulps_of_reference() {
 /// here, but must stay far below any meaningful divergence.
 #[test]
 fn wide_gate_floats_within_relative_bound() {
+    let _g = lock_global();
     let n = 8000;
     let input = float_input(n);
     for k in [1usize, 2] {
@@ -364,6 +371,7 @@ fn varying_runs_bypass_the_constant_plan_cache() {
 /// the output stays bit-exact; a one-thread run fuses every chunk.
 #[test]
 fn lookback_fusion_counts_and_stays_exact() {
+    let _g = lock_global();
     let n = 4096;
     let sig = VaryingSignature::first_order(int_coeffs(n, 1, 0xf05e)).unwrap();
     let input = int_input(n);
@@ -398,6 +406,7 @@ proptest! {
         chunk_sel in 0usize..3,
         threads in 1usize..=4,
     ) {
+        let _g = lock_global();
         let sig = VaryingSignature::new(k, int_coeffs(n, k, seed)).unwrap();
         let mut rng = xorshift(seed ^ 0x5555_5555);
         let data: Vec<i64> = (0..n).map(|_| (rng() % 41) as i64 - 20).collect();

@@ -528,7 +528,7 @@ fn process_row<T: Element>(
     shared.in_service.fetch_sub(1, Ordering::Relaxed);
     shared.processed.fetch_add(1, Ordering::Relaxed);
     match outcome {
-        Ok((fir_nanos, solve_nanos, solve_slices)) => {
+        Ok((solve_nanos, solve_slices)) => {
             let result = match abort.reason() {
                 None | Some(AbortReason::WorkerFault) => {
                     ewma_update(shared, wall);
@@ -537,7 +537,6 @@ fn process_row<T: Element>(
                         rows: 1,
                         chunks: 1,
                         threads: 1,
-                        fir_nanos,
                         solve_nanos,
                         solve_slices,
                         plan_kind: runtime.task.plan_kind(),
