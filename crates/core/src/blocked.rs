@@ -338,11 +338,7 @@ impl<T: Element> SolveKernel<T> {
     /// Which kernel this dispatch runs, as reported in run statistics.
     pub fn kind(&self) -> KernelKind {
         match self {
-            SolveKernel::Simd(k) => match k.isa() {
-                simd::Isa::Portable => KernelKind::SimdPortable,
-                simd::Isa::Avx2 => KernelKind::SimdAvx2,
-                simd::Isa::Avx512 => KernelKind::SimdAvx512,
-            },
+            SolveKernel::Simd(k) => k.isa().kind(),
             SolveKernel::Blocked(_) => KernelKind::Blocked,
             SolveKernel::Scalar(_) => KernelKind::Scalar,
         }

@@ -125,14 +125,17 @@ impl<T: Element> Matrix<T> {
     /// combination of rows (the new row 0) followed by shifting every row
     /// down a slot — `O(k²)` instead of the dense `O(k³)` product.
     ///
+    /// Each new row-0 entry reads only its own column, so the step runs
+    /// column by column in place: combine the column, shift it down a
+    /// slot, write the combination on top. Nothing is allocated.
+    ///
     /// # Panics
     ///
     /// Panics if `feedback.len() != self.dim()`.
     pub fn companion_push(&mut self, feedback: &[T]) {
         let k = self.k;
         assert_eq!(feedback.len(), k, "dimension mismatch");
-        let mut top = vec![T::zero(); k];
-        for (j, slot) in top.iter_mut().enumerate() {
+        for j in 0..k {
             let mut acc = T::zero();
             for (r, &a) in feedback.iter().enumerate() {
                 if a.is_zero() {
@@ -140,11 +143,11 @@ impl<T: Element> Matrix<T> {
                 }
                 acc = acc.add(a.mul(self.data[r * k + j]));
             }
-            *slot = acc;
+            for r in (1..k).rev() {
+                self.data[r * k + j] = self.data[(r - 1) * k + j];
+            }
+            self.data[j] = acc;
         }
-        // Shift rows 0..k-1 down by one, then install the new row 0.
-        self.data.copy_within(0..k * (k - 1), k);
-        self.data[..k].copy_from_slice(&top);
     }
 
     /// Matrix-vector product.

@@ -9,13 +9,14 @@
 //! * **simd** — the explicit `core::arch` kernels of [`crate::simd`],
 //!   dispatched at runtime on the detected ISA.
 //!
-//! [`SolveKernel::select`](crate::blocked::SolveKernel::select) consults
-//! [`tier`] so every executor — `Engine`, both `ParallelRunner`
-//! strategies, `BatchRunner`, `RowStream` — picks the same tier without
-//! rebuild flags. The default ([`KernelTier::Auto`]) chooses the fastest
-//! sound kernel for the element type and the CPU the process is running
-//! on; forcing a tier is for differential testing, benchmarking, and
-//! bisecting.
+//! [`SolveKernel::select`](crate::blocked::SolveKernel::select) and the
+//! time-varying plan's order-1 block scan
+//! ([`crate::simd::varying_scan_isa`]) consult [`tier`] so every
+//! executor — `Engine`, both `ParallelRunner` strategies, `BatchRunner`,
+//! `RowStream` — picks the same tier without rebuild flags. The default
+//! ([`KernelTier::Auto`]) chooses the fastest sound kernel for the
+//! element type and the CPU the process is running on; forcing a tier is
+//! for differential testing, benchmarking, and bisecting.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -110,6 +111,16 @@ pub fn set_kernel_override(tier: Option<KernelTier>) {
     TIER_OVERRIDE.store(v, Ordering::Relaxed);
 }
 
+/// Serializes this crate's unit tests that set the override or assert a
+/// tier-dependent kernel choice: the override is process-global, and
+/// the test harness runs tests on parallel threads.
+#[cfg(test)]
+pub(crate) fn override_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,8 +137,10 @@ mod tests {
 
     #[test]
     fn override_round_trips() {
-        // Serialized with other override users by being the only test in
-        // this binary that sets it; always restores the default.
+        // The only test in this binary that sets the override; it holds
+        // the lock that tier-dependent tests take, and always restores
+        // the default.
+        let _g = override_lock();
         for t in [
             KernelTier::Scalar,
             KernelTier::Blocked,

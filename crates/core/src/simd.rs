@@ -27,6 +27,9 @@
 //!   input.
 //! * **correction apply** — the dense / truncated-tail
 //!   `chunk[i] += list[i]·carry` folds from [`crate::plan`].
+//! * **order-1 varying scan** — `y[i] = a[i]·y[i−1] + z[i]` with a gate
+//!   per element ([`varying_scan_with`], `f64`): an in-register block
+//!   scan of the affine pairs `(a, z)`, one carry per 8 elements.
 //!
 //! Integer kernels are **exact** (wrapping lane arithmetic matches the
 //! scalar loops bit for bit). `i64` has no 64-bit lane multiply below
@@ -53,7 +56,7 @@
 
 use crate::blocked::{seed_carries, BlockedKernel, BLOCK, MAX_BLOCKED_ORDER};
 use crate::element::Element;
-use crate::kernel::{self, KernelTier};
+use crate::kernel::{self, KernelKind, KernelTier};
 use crate::serial;
 use std::any::TypeId;
 
@@ -82,6 +85,15 @@ impl Isa {
             Isa::Portable => true,
             Isa::Avx2 => have_avx2(),
             Isa::Avx512 => have_avx512(),
+        }
+    }
+
+    /// How run statistics report a kernel on this tier.
+    pub fn kind(self) -> KernelKind {
+        match self {
+            Isa::Portable => KernelKind::SimdPortable,
+            Isa::Avx2 => KernelKind::SimdAvx2,
+            Isa::Avx512 => KernelKind::SimdAvx512,
         }
     }
 }
@@ -395,6 +407,67 @@ pub fn axpy_in_place<T: Element>(dst: &mut [T], list: &[T], carry: T) -> bool {
         Some(isa) => axpy_with(isa, dst, list, carry),
         None => false,
     }
+}
+
+/// The ISA [`varying_scan_with`] runs on for `T` under the effective
+/// tier: [`best_isa`] when the tier permits explicit SIMD and the vector
+/// kernel exists for `T` (`f64` on AVX2+FMA), otherwise `None` — forced
+/// `scalar`/`blocked` tiers, other element types, CPUs without AVX2.
+pub fn varying_scan_isa<T: Element>() -> Option<Isa> {
+    if !tier_allows() || !is::<T, f64>() {
+        return None;
+    }
+    best_isa::<T>()
+}
+
+/// The order-1 time-varying scan `y[i] = gates[i]·y[i−1] + data[i]` in
+/// place, continuing from `y[−1] = prev`, on one [`Isa`]: the local
+/// solve of [`crate::varying`]'s order-1 chunks. Returns `false`
+/// (touching nothing) when the vector form does not exist for this ISA
+/// and element type — [`Isa::Portable`], a CPU without the ISA, any
+/// element but `f64` — and the caller runs its scalar loop.
+///
+/// The kernel is a block scan over the affine pairs `(a[i], z[i])`:
+/// each 4-lane vector builds the in-register prefix of its pairs in two
+/// log steps, two vectors compose into one 8-element block, and the
+/// block's outputs are `B + A·p` with `p` the previous block's last
+/// output. The serial dependency is one FMA plus one permute per 8
+/// elements; the scalar loop (which finishes the sub-8 tail here) pays a
+/// multiply and an add per element. The reassociation differs from the
+/// scalar loop at the ULP level, and its sign of zero may differ.
+///
+/// That agreement needs gates the plan admits: a gate that is
+/// non-finite, or whose magnitude is nonzero but outside
+/// `[2⁻⁶⁴, 2⁶⁴]`, can make a composed 8-gate product overflow or
+/// underflow where the scalar chain does not, so such chunks stay on the
+/// scalar loop (see `VaryingPlan::build`).
+///
+/// # Panics
+///
+/// Panics when `gates.len() != data.len()`.
+pub fn varying_scan_with<T: Element>(isa: Isa, gates: &[T], data: &mut [T], prev: T) -> bool {
+    assert_eq!(gates.len(), data.len(), "one gate per element");
+    if isa == Isa::Portable || !isa.available() {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if let (Some(d), Some(g), Some(p)) = (
+        cast_mut::<T, f64>(data),
+        cast_ref::<T, f64>(gates),
+        cast_val::<T, f64>(prev),
+    ) {
+        // SAFETY: `isa.available()` verified AVX2+FMA above (AVX-512
+        // availability implies both).
+        let (done, mut prev) = unsafe { x86::varying_scan_f64_avx2(g, d, p) };
+        for (y, &a) in d[done..].iter_mut().zip(&g[done..]) {
+            prev = *y + a * prev;
+            *y = prev;
+        }
+        return true;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = prev;
+    false
 }
 
 /// [`axpy_in_place`] pinned to one [`Isa`] (no tier gating) —
@@ -762,6 +835,65 @@ mod x86 {
                 vecs * L
             }
         };
+    }
+
+    /// The in-register prefix of four affine pairs `y ↦ a[l]·y + b[l]`:
+    /// lane `l` of the result is pairs `0..=l` composed, lane 0 first.
+    /// Two log steps, each shifting in the identity pair `(1, 0)` — by
+    /// one lane, then by two — and composing with one FMA (offsets, from
+    /// the unshifted gates) and one multiply (gates).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn affine_prefix4(a: __m256d, b: __m256d) -> (__m256d, __m256d) {
+        let one = _mm256_set1_pd(1.0);
+        let zero = _mm256_setzero_pd();
+        // [id, 0, 1, 2]: lane l composes with lane l−1.
+        let a1 = _mm256_blend_pd::<0b0001>(_mm256_permute4x64_pd::<0b10_01_00_00>(a), one);
+        let b1 = _mm256_blend_pd::<0b0001>(_mm256_permute4x64_pd::<0b10_01_00_00>(b), zero);
+        let b = _mm256_fmadd_pd(a, b1, b);
+        let a = _mm256_mul_pd(a, a1);
+        // [id, id, 0, 1]: lane l composes with lane l−2.
+        let a2 = _mm256_permute2f128_pd::<0x02>(a, one);
+        let b2 = _mm256_permute2f128_pd::<0x08>(b, b);
+        (_mm256_mul_pd(a, a2), _mm256_fmadd_pd(a, b2, b))
+    }
+
+    /// Order-1 varying scan `y[i] = a[i]·y[i−1] + y[i]` over the largest
+    /// multiple of 8 elements both slices hold, continuing from `prev`.
+    /// Returns the count processed and the last output (`prev` when
+    /// none).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn varying_scan_f64_avx2(
+        gates: &[f64],
+        data: &mut [f64],
+        prev: f64,
+    ) -> (usize, f64) {
+        let n = data.len().min(gates.len()) / 8 * 8;
+        let g = gates.as_ptr();
+        let d = data.as_mut_ptr();
+        let mut p = _mm256_set1_pd(prev);
+        for i in (0..n).step_by(8) {
+            let (a0, b0) = affine_prefix4(_mm256_loadu_pd(g.add(i)), _mm256_loadu_pd(d.add(i)));
+            let (a1, b1) =
+                affine_prefix4(_mm256_loadu_pd(g.add(i + 4)), _mm256_loadu_pd(d.add(i + 4)));
+            // Compose the upper vector onto the lower one's last pair, so
+            // both depend on `p` alone.
+            let b1 = _mm256_fmadd_pd(a1, _mm256_permute4x64_pd::<0xFF>(b0), b1);
+            let a1 = _mm256_mul_pd(a1, _mm256_permute4x64_pd::<0xFF>(a0));
+            _mm256_storeu_pd(d.add(i), _mm256_fmadd_pd(a0, p, b0));
+            let y1 = _mm256_fmadd_pd(a1, p, b1);
+            _mm256_storeu_pd(d.add(i + 4), y1);
+            p = _mm256_permute4x64_pd::<0xFF>(y1);
+        }
+        (n, if n == 0 { prev } else { data[n - 1] })
     }
 
     float_solve!(

@@ -48,9 +48,19 @@
 //!
 //! ## Fast paths
 //!
-//! * **Order-1 fused scan** (the Mamba case): the state is one scalar, so
-//!   the local solve is the tight loop `y[i] = a[i]·prev + z[i]` and the
-//!   correction is `v *= a[i]; y[i] += v` — no matrix machinery at all.
+//! * **Order-1 block scan** (the Mamba case): the state is one scalar, so
+//!   no matrix machinery is needed. For `f64` under the `auto`/`simd`
+//!   tiers on an AVX2+FMA CPU the local solve is
+//!   [`simd::varying_scan_with`]: each 4-lane vector scans its affine
+//!   pairs `(a[i], z[i])` in registers, two vectors compose into an
+//!   8-element block, and the only serial dependency is one FMA and one
+//!   permute per block. A chunk takes it only when every gate is finite
+//!   and zero or of magnitude within `[2⁻⁶⁴, 2⁶⁴]`, so the composed gate
+//!   products neither overflow nor underflow where the scalar chain
+//!   would not. Everything else — forced `scalar`/`blocked` tiers, CPUs
+//!   without AVX2, `f32` and integers, chunks with other gates — runs
+//!   the scalar loop `y[i] = a[i]·prev + z[i]`. The correction is
+//!   `v *= a[i]; y[i] += v`.
 //! * **Constant chunks**: a chunk whose coefficient rows are all equal is
 //!   a constant-coefficient solve, so the plan selects a register-blocked
 //!   / SIMD [`SolveKernel`] for it directly (no [`crate::plan`] involved
@@ -65,16 +75,26 @@ use crate::element::Element;
 use crate::engine::{CarryPropagation, EngineConfig, MAX_INPUT_LEN};
 use crate::error::EngineError;
 use crate::kernel::KernelKind;
+use crate::simd::{self, Isa};
 
 /// Cap on distinct per-chunk constant-row kernels one plan will build;
-/// chunks beyond it fall back to the scalar varying loop. Real workloads
-/// with constant stretches use one or two distinct rows.
+/// chunks beyond it fall back to the varying solve (block scan or scalar
+/// loop). Real workloads with constant stretches use one or two distinct
+/// rows.
 const MAX_DISTINCT_KERNELS: usize = 16;
 
 /// Elements between the exact-zero horizon tests of
 /// [`VaryingPlan::correct_chunk`]: the correction pass stops at the first
 /// multiple of this (from the chunk start) where its carry is exactly zero.
 pub const HORIZON_STRIDE: usize = 64;
+
+/// Gate magnitudes the order-1 lane kernel accepts besides exact zero:
+/// `[2⁻⁶⁴, 2⁶⁴]`. A product of the up-to-8 gates one block scan composes
+/// then stays within `[2⁻⁵¹², 2⁵¹²]` — no overflow, no precision lost to
+/// underflow — so the block scan tracks the scalar chain wherever the
+/// chain itself stays in range.
+const LANE_GATE_MIN: f64 = 5.421_010_862_427_522e-20;
+const LANE_GATE_MAX: f64 = 18_446_744_073_709_551_616.0;
 
 /// A time-varying (and optionally affine) recurrence of order `k`, bound
 /// to a fixed input length: one `k`-coefficient feedback row per element,
@@ -333,10 +353,16 @@ pub fn advance_state<T: Element>(prev: &[T], chunk: &[T], k: usize) -> Vec<T> {
     state
 }
 
-/// Solves the varying recurrence over `data` in place, continuing from
-/// `state` (`state[0]` is the value just before `data[0]`, `k` entries;
-/// zeros for a cold start). `start` is `data[0]`'s global index into the
-/// signature.
+/// Solves the varying recurrence over `data` in place with the scalar
+/// loops, continuing from `state` (`state[0]` is the value just before
+/// `data[0]`, `k` entries; zeros for a cold start). `start` is
+/// `data[0]`'s global index into the signature. Offsets are folded on
+/// the fly.
+///
+/// The one path for orders ≥ 2, non-`f64` elements and forced
+/// `scalar`/`blocked` tiers; order-1 `f64` chunks reach it only when the
+/// block scan is unavailable or one of their gates is out of its range
+/// (see the module's fast paths).
 fn solve_span<T: Element>(sig: &VaryingSignature<T>, start: usize, state: &[T], data: &mut [T]) {
     let k = sig.order();
     if k == 1 {
@@ -391,6 +417,26 @@ fn row_finite<T: Element>(row: &[T]) -> bool {
     !T::IS_FLOAT || row.iter().all(|a| a.to_f64().is_finite())
 }
 
+/// Whether the order-1 lane kernel may take gate `a`: exactly zero, or
+/// a magnitude in `[LANE_GATE_MIN, LANE_GATE_MAX]` (so finite).
+fn lane_gate<T: Element>(a: T) -> bool {
+    let m = a.to_f64().abs();
+    m == 0.0 || (LANE_GATE_MIN..=LANE_GATE_MAX).contains(&m)
+}
+
+/// How one chunk's local solve runs.
+#[derive(Debug, Clone, Copy)]
+enum ChunkSolver {
+    /// Every row equal: the constant-row kernel at this index of
+    /// `VaryingPlan::kernels`.
+    Constant(u16),
+    /// Order 1, every gate a [`lane_gate`]: the block-scan kernel of
+    /// [`simd::varying_scan_with`] on this ISA.
+    Lanes(Isa),
+    /// The scalar varying loop ([`solve_span`]).
+    Scalar,
+}
+
 /// Outcome of [`VaryingPlan::solve_chunk`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct VaryingSolve<T> {
@@ -401,8 +447,8 @@ pub struct VaryingSolve<T> {
     /// Poll slices processed.
     pub slices: u64,
     /// Which kernel class solved this chunk: a constant-row
-    /// blocked/SIMD/scalar kernel, or [`KernelKind::Scalar`] for the
-    /// varying loop.
+    /// blocked/SIMD/scalar kernel, the order-1 block scan's ISA, or
+    /// [`KernelKind::Scalar`] for the varying loop.
     pub kernel: KernelKind,
     /// The carry state after the chunk (meaningless when
     /// `completed == false`).
@@ -411,8 +457,10 @@ pub struct VaryingSolve<T> {
 
 /// Per-chunk geometry of a [`VaryingSignature`], with everything that
 /// depends only on the coefficients hoisted out of the run path: the
-/// chunk transition matrices (the generalized carries) and, for chunks
-/// whose rows are all equal, a constant-coefficient [`SolveKernel`].
+/// chunk transition matrices (the generalized carries) and each chunk's
+/// local-solve kernel — a constant-coefficient [`SolveKernel`] for chunks
+/// whose rows are all equal, the order-1 block scan for `f64` gate
+/// chunks, the scalar varying loop otherwise.
 ///
 /// Kernels are selected directly — a varying plan never consults (or
 /// populates) the constant path's correction-plan cache.
@@ -422,15 +470,18 @@ pub struct VaryingPlan<T> {
     chunk_size: usize,
     matrices: Vec<Matrix<T>>,
     kernels: Vec<SolveKernel<T>>,
-    chunk_kernel: Vec<Option<u16>>,
+    solvers: Vec<ChunkSolver>,
     /// Per chunk: every coefficient is finite, so a carry that reaches
     /// exactly zero stays zero (the correction's horizon may end it).
     finite: Vec<bool>,
 }
 
 impl<T: Element> VaryingPlan<T> {
-    /// Builds the plan: classifies every chunk (constant rows → kernel)
-    /// and composes every chunk's transition matrix.
+    /// Builds the plan: classifies every chunk (constant rows → their
+    /// kernel; order-1 gates → the block scan where the effective tier
+    /// and [`simd::varying_scan_isa`] allow it and every gate is finite
+    /// and in range; the scalar loop otherwise) and composes every
+    /// chunk's transition matrix.
     ///
     /// # Errors
     ///
@@ -452,8 +503,13 @@ impl<T: Element> VaryingPlan<T> {
         let m = chunk_size;
         let num_chunks = n.div_ceil(m);
         let mut matrices = Vec::with_capacity(num_chunks);
+        let lanes = if k == 1 {
+            simd::varying_scan_isa::<T>()
+        } else {
+            None
+        };
         let mut kernels: Vec<SolveKernel<T>> = Vec::new();
-        let mut chunk_kernel = Vec::with_capacity(num_chunks);
+        let mut solvers = Vec::with_capacity(num_chunks);
         let mut finite = Vec::with_capacity(num_chunks);
         for c in 0..num_chunks {
             let start = c * m;
@@ -472,7 +528,6 @@ impl<T: Element> VaryingPlan<T> {
                 }
                 _ => None,
             };
-            chunk_kernel.push(kernel);
             let (matrix, all_finite) = match constant {
                 // A constant chunk's transition is a companion power.
                 Some(row) => (Matrix::companion(row).pow(len as u64), row_finite(row)),
@@ -488,13 +543,24 @@ impl<T: Element> VaryingPlan<T> {
             };
             matrices.push(matrix);
             finite.push(all_finite);
+            solvers.push(match (kernel, lanes) {
+                (Some(i), _) => ChunkSolver::Constant(i),
+                (None, Some(isa))
+                    if sig.coeffs()[start..start + len]
+                        .iter()
+                        .all(|&a| lane_gate(a)) =>
+                {
+                    ChunkSolver::Lanes(isa)
+                }
+                _ => ChunkSolver::Scalar,
+            });
         }
         Ok(VaryingPlan {
             sig,
             chunk_size,
             matrices,
             kernels,
-            chunk_kernel,
+            solvers,
             finite,
         })
     }
@@ -536,15 +602,16 @@ impl<T: Element> VaryingPlan<T> {
 
     /// The kernel class chunk `c`'s local solve dispatches to.
     pub fn chunk_kernel_kind(&self, c: usize) -> KernelKind {
-        match self.chunk_kernel[c] {
-            Some(i) => self.kernels[i as usize].kind(),
-            None => KernelKind::Scalar,
+        match self.solvers[c] {
+            ChunkSolver::Constant(i) => self.kernels[i as usize].kind(),
+            ChunkSolver::Lanes(isa) => isa.kind(),
+            ChunkSolver::Scalar => KernelKind::Scalar,
         }
     }
 
     /// The kernel summary across chunks: the single class every chunk
-    /// shares, or [`KernelKind::Mixed`] when constant-row kernels and the
-    /// varying scalar loop both appear.
+    /// shares, or [`KernelKind::Mixed`] when chunks solve on different
+    /// kernels (constant-row kernels, the block scan, the scalar loop).
     pub fn aggregate_kernel_kind(&self) -> KernelKind {
         let mut agg: Option<KernelKind> = None;
         for c in 0..self.num_chunks() {
@@ -575,9 +642,10 @@ impl<T: Element> VaryingPlan<T> {
     }
 
     /// Solves chunk `c` in place, continuing from `state` (`None` for the
-    /// decoupled zero-state local solve). Offsets are folded into the
-    /// input on the fly; constant-row chunks dispatch to their selected
-    /// kernel. Time-sliced: `keep_going` is polled between
+    /// decoupled zero-state local solve). Constant-row chunks dispatch to
+    /// their selected kernel and block-scan chunks to the lane kernel,
+    /// each after folding the offsets into the slice; the scalar loop
+    /// folds them on the fly. Time-sliced: `keep_going` is polled between
     /// [`SOLVE_SLICE`]-element slices so cancels land mid-chunk.
     pub fn solve_chunk(
         &self,
@@ -588,8 +656,8 @@ impl<T: Element> VaryingPlan<T> {
     ) -> VaryingSolve<T> {
         let k = self.sig.order();
         let start = c * self.chunk_size;
-        let kernel = self.chunk_kernel[c].map(|i| &self.kernels[i as usize]);
-        let kind = kernel.map_or(KernelKind::Scalar, |kn| kn.kind());
+        let solver = self.solvers[c];
+        let kind = self.chunk_kernel_kind(c);
         let mut st: Vec<T> = match state {
             Some(s) => s.to_vec(),
             None => vec![T::zero(); k],
@@ -607,17 +675,24 @@ impl<T: Element> VaryingPlan<T> {
             }
             let end = (off + SOLVE_SLICE).min(data.len());
             let window = &mut data[off..end];
-            match kernel {
-                Some(kn) => {
-                    if let Some(d) = self.sig.offsets() {
-                        let d = &d[start + off..start + end];
-                        for (w, &dd) in window.iter_mut().zip(d) {
-                            *w = w.add(dd);
-                        }
-                    }
-                    kn.solve_in_place_with_history(&st, window);
+            let (lo, hi) = (start + off, start + end);
+            if let (ChunkSolver::Constant(_) | ChunkSolver::Lanes(_), Some(d)) =
+                (solver, self.sig.offsets())
+            {
+                for (w, &dd) in window.iter_mut().zip(&d[lo..hi]) {
+                    *w = w.add(dd);
                 }
-                None => solve_span(&self.sig, start + off, &st, window),
+            }
+            match solver {
+                ChunkSolver::Constant(i) => {
+                    self.kernels[i as usize].solve_in_place_with_history(&st, window);
+                }
+                ChunkSolver::Lanes(isa) => {
+                    let gates = &self.sig.coeffs()[lo..hi];
+                    let ran = simd::varying_scan_with(isa, gates, window, st[0]);
+                    assert!(ran, "the plan selected an unavailable lane kernel");
+                }
+                ChunkSolver::Scalar => solve_span(&self.sig, lo, &st, window),
             }
             st = advance_state(&st, window, k);
             off = end;
@@ -816,6 +891,7 @@ impl<T: Element> VaryingEngine<T> {
 mod tests {
     use super::*;
     use crate::engine::LocalSolve;
+    use crate::kernel::KernelTier;
     use crate::serial;
 
     /// Deterministic pseudo-random stream without any RNG dependency.
@@ -1026,11 +1102,21 @@ mod tests {
         gates.extend(vec![0.25f64; m]);
         gates.extend(pattern(8, m).iter().map(|v| 0.3 + 0.2 * v));
         let sig = VaryingSignature::first_order(gates).unwrap();
-        let plan = VaryingPlan::build(sig, m).unwrap();
+        let (plan, tier) = {
+            let _g = crate::kernel::override_lock();
+            (VaryingPlan::build(sig, m).unwrap(), crate::kernel::tier())
+        };
         assert_eq!(plan.num_chunks(), 4);
         assert_ne!(plan.chunk_kernel_kind(0), KernelKind::Unknown);
         assert_eq!(plan.chunk_kernel_kind(0), plan.chunk_kernel_kind(1));
-        assert_eq!(plan.chunk_kernel_kind(3), KernelKind::Scalar);
+        // The varying chunk gets no constant-row kernel: the order-1 block
+        // scan where the tier allows explicit SIMD and the CPU has
+        // AVX2+FMA, the scalar loop otherwise.
+        let varying_kind = match tier {
+            KernelTier::Auto | KernelTier::Simd if Isa::Avx2.available() => KernelKind::SimdAvx2,
+            _ => KernelKind::Scalar,
+        };
+        assert_eq!(plan.chunk_kernel_kind(3), varying_kind);
         let _ = plan.aggregate_kernel_kind();
         // Differential: the kernel-dispatched plan still matches the
         // reference (constant chunks run the blocked/SIMD kernel).

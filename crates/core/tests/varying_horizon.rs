@@ -14,12 +14,29 @@
 //!   after the horizon must keep the pass running.
 //!
 //! Geometries: zero gates at a chunk's first, middle and last position
-//! and on both sides of a stride boundary, no zero gate at all, decay to zero by underflow only, a non-finite gate
-//! past the horizon, and order 2 with zero rows.
+//! and on both sides of a stride boundary, no zero gate at all, decay to
+//! zero by underflow only, a non-finite gate past the horizon, and
+//! order 2 with zero rows.
+//!
+//! The local solves run on whatever kernel the plan selects for the
+//! active tier, except in the `-0.0` leg, which pins the scalar tier.
+//! Every test holds [`lock_global`] so that pin never leaks into another.
 
 use plr_core::element::Element;
 use plr_core::varying::{self, VaryingPlan, VaryingSignature, HORIZON_STRIDE};
+use plr_core::{set_kernel_override, KernelTier};
 use proptest::prelude::*;
+use std::sync::Mutex;
+
+/// Serializes every test in this binary: the `-0.0` leg sets the
+/// process-global kernel-tier override while it builds its plan.
+static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
+
+fn lock_global() -> std::sync::MutexGuard<'static, ()> {
+    GLOBAL_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// The untruncated correction: the forward companion pass over the whole
 /// chunk with no horizon — the oracle the truncated pass must match.
@@ -113,6 +130,7 @@ const M: usize = 4 * HORIZON_STRIDE + 5;
 
 #[test]
 fn zero_gate_at_first_middle_and_last_position() {
+    let _g = lock_global();
     let n = 4 * M + 17;
     let s = HORIZON_STRIDE;
     for offset in [0, s - 1, s, M / 2, M - 1] {
@@ -125,6 +143,7 @@ fn zero_gate_at_first_middle_and_last_position() {
 
 #[test]
 fn no_zero_gate_corrects_the_whole_chunk() {
+    let _g = lock_global();
     let n = 3 * M;
     let sig = VaryingSignature::first_order(vec![1.0f64; n]).unwrap();
     let plan = VaryingPlan::build(sig, M).unwrap();
@@ -138,6 +157,7 @@ fn no_zero_gate_corrects_the_whole_chunk() {
 
 #[test]
 fn decay_by_underflow_alone_reaches_the_horizon() {
+    let _g = lock_global();
     // Gate 1e-100 underflows any carry to exactly zero within four steps
     // without a single zero coefficient.
     let n = 3 * M;
@@ -146,22 +166,32 @@ fn decay_by_underflow_alone_reaches_the_horizon() {
     assert_floats_match(&plan, &float_input(n, 11), "underflow");
 }
 
-#[test]
-fn truncation_keeps_negative_zero_past_the_horizon() {
-    // Chunk 0 leaves a negative carry; chunk 1 holds -0.0 inputs and opens
-    // with a zero gate, then a negative one. Its local solve is -0.0 from
-    // its second element on while the untruncated pass carries +0.0 there
-    // and flips every output to +0.0; the truncated pass finishes the
-    // stride it is in (flipping those outputs too), then stops and leaves
-    // the rest -0.0.
+/// The `-0.0` leg's geometry: chunk 0 leaves a negative carry; chunk 1
+/// holds `-0.0` inputs and opens with a zero gate, then a negative one.
+fn negative_zero_case() -> (VaryingSignature<f64>, Vec<f64>) {
     let n = 2 * M;
     let mut gates = vec![0.5f64; n];
     gates[M] = 0.0;
     gates[M + 1] = -0.5;
-    let sig = VaryingSignature::first_order(gates).unwrap();
-    let plan = VaryingPlan::build(sig, M).unwrap();
     let mut input = vec![-1.0f64; M];
     input.extend(vec![-0.0f64; M]);
+    (VaryingSignature::first_order(gates).unwrap(), input)
+}
+
+#[test]
+fn truncation_keeps_negative_zero_past_the_horizon() {
+    let _g = lock_global();
+    // Chunk 1's scalar local solve is -0.0 from its second element on
+    // while the untruncated pass carries +0.0 there and flips every
+    // output to +0.0; the truncated pass finishes the stride it is in
+    // (flipping those outputs too), then stops and leaves the rest -0.0.
+    // The premise is the scalar loop's sign of zero (the block-scan
+    // kernel may produce +0.0 here), so the plan is built on the scalar
+    // tier: this leg tests where the correction stops, not the solve.
+    let (sig, input) = negative_zero_case();
+    set_kernel_override(Some(KernelTier::Scalar));
+    let plan = VaryingPlan::build(sig, M).unwrap();
+    set_kernel_override(None);
     let got = decoupled(&plan, &input, true);
     let want = decoupled(&plan, &input, false);
     assert!(got[M + 1..M + HORIZON_STRIDE]
@@ -176,7 +206,19 @@ fn truncation_keeps_negative_zero_past_the_horizon() {
 }
 
 #[test]
+fn negative_zero_case_on_the_active_tier_matches_the_untruncated_pass() {
+    let _g = lock_global();
+    // The same geometry on whatever local-solve kernel the active tier
+    // selects: the truncated pass still matches the untruncated one up
+    // to the sign of zero.
+    let (sig, input) = negative_zero_case();
+    let plan = VaryingPlan::build(sig, M).unwrap();
+    assert_floats_match(&plan, &input, "-0.0 inputs");
+}
+
+#[test]
 fn non_finite_gate_after_the_horizon_keeps_the_pass_running() {
+    let _g = lock_global();
     // The carry is zero from the zero gate on, but 0·∞ is NaN: the chunk
     // is not all finite, so the correction must run past the stride where
     // it would otherwise stop, and the NaN must land exactly where the
@@ -197,6 +239,7 @@ fn non_finite_gate_after_the_horizon_keeps_the_pass_running() {
 
 #[test]
 fn order_two_with_zero_rows() {
+    let _g = lock_global();
     // Two consecutive all-zero rows zero both carry components; a single
     // zero row does not (the lag-2 slot still holds the old head).
     let n = 4 * M + 9;
@@ -240,6 +283,7 @@ proptest! {
         zero_every in 1usize..120,
         seed in 1u64..1000,
     ) {
+        let _g = lock_global();
         let coeffs = int_gates(n, k, zero_every, seed);
         let sig = VaryingSignature::new(k, coeffs).unwrap();
         let mut next = xorshift(seed + 7);
@@ -257,6 +301,7 @@ proptest! {
         zero_at in 0usize..300,
         seed in 1u64..1000,
     ) {
+        let _g = lock_global();
         let mut next = xorshift(seed);
         let mut coeffs: Vec<f64> = (0..n * k)
             .map(|_| 0.9 * ((next() >> 11) as f64 / (1u64 << 53) as f64) - 0.45)

@@ -193,7 +193,7 @@ impl<T: Element> RowTask<T> {
     /// The serial solve kernel the task's plan dispatches to (reported in
     /// per-row and aggregate stats). Varying tasks report the per-chunk
     /// summary: [`KernelKind::Mixed`] when constant-row kernel chunks and
-    /// varying scalar chunks both occur in a row.
+    /// varying (block-scan or scalar) chunks both occur in a row.
     pub fn kernel_kind(&self) -> KernelKind {
         match &self.inner {
             TaskInner::Constant { plan, .. } => plan.solve().kind(),

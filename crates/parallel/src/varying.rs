@@ -162,7 +162,7 @@ impl<T: Element> CarryAlgebra for VaryingPlan<T> {
     /// The varying path has no FIR stage, never touches the
     /// correction-plan cache, and reports the plan's kernel summary
     /// ([`KernelKind::Mixed`](plr_core::kernel::KernelKind::Mixed) when
-    /// constant-row kernel chunks and varying scalar chunks coexist).
+    /// constant-row kernel chunks and varying chunks coexist).
     fn base_stats(&self) -> RunStats {
         RunStats {
             plan_kind: PlanKind::MatrixCarry,

@@ -16,11 +16,12 @@
 //! [`PlanKind::MatrixCarry`], never touch the constant-coefficient
 //! correction-plan cache, and summarize their kernels as
 //! [`KernelKind::Mixed`] exactly when constant-row kernel chunks and
-//! varying scalar chunks coexist in one run.
+//! varying chunks coexist in one run.
 
 use plr_core::engine::{CarryPropagation, EngineConfig, LocalSolve};
-use plr_core::kernel::KernelKind;
+use plr_core::kernel::{self, KernelKind};
 use plr_core::plan::{self, PlanKind};
+use plr_core::simd::Isa;
 use plr_core::varying::{reference, VaryingEngine, VaryingSignature};
 use plr_core::{set_kernel_override, Element, KernelTier};
 use plr_parallel::runner::RunnerConfig;
@@ -262,13 +263,54 @@ fn wide_gate_floats_within_relative_bound() {
     }
 }
 
+/// The benchmark's varying regime: order-1 gates in 0.85–0.95 with an
+/// exact zero every 1000 elements, positive input. Every executor on
+/// every thread count stays within the relative bound of the reference,
+/// on chunks both shorter and longer than a solve slice.
+#[test]
+fn gate_regime_of_the_benchmark_across_executors_and_threads() {
+    let _g = lock_global();
+    let n = 25_353;
+    let mut rng = xorshift(0x9a7e5);
+    let gates: Vec<f64> = (0..n)
+        .map(|i| {
+            let g = 0.85 + 0.1 * ((rng() >> 11) as f64 / (1u64 << 53) as f64);
+            if i % 1000 == 999 {
+                0.0
+            } else {
+                g
+            }
+        })
+        .collect();
+    let input: Vec<f64> = (0..n)
+        .map(|_| 0.5 + (rng() >> 11) as f64 / (1u64 << 53) as f64)
+        .collect();
+    let sig = VaryingSignature::first_order(gates).unwrap();
+    let expect = reference(&sig, &input).unwrap();
+    for chunk in [4096usize, 10_000] {
+        for threads in [1usize, 2, 4] {
+            for (label, got) in all_executor_outputs(&sig, &input, chunk, threads) {
+                for (i, (&g, &e)) in got.iter().zip(&expect).enumerate() {
+                    assert!(
+                        (g - e).abs() <= 1e-9 * e.abs().max(1.0),
+                        "{label}: chunk={chunk} threads={threads} i={i}: {g} vs {e}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Satellite contract: a run whose chunks mix constant-coefficient
 /// stretches (dispatched to the selected constant kernel) with
-/// genuinely varying stretches (scalar matrix-carry loop) must summarize
-/// its kernel as [`KernelKind::Mixed`]; an all-varying run reports
-/// [`KernelKind::Scalar`]. The kernel override is pinned so the
-/// `PLR_KERNEL=scalar` CI leg (which makes constant chunks scalar too,
-/// collapsing the mix) cannot change what this test observes.
+/// genuinely varying stretches (the varying loop) must summarize its
+/// kernel as [`KernelKind::Mixed`]; an all-varying order-1 `f64` run
+/// reports the one kernel its plan selects for the active tier — the
+/// AVX2 block scan under `auto`/`simd` on an AVX2+FMA CPU, the scalar
+/// loop under forced `scalar`/`blocked` or without AVX2. The mixed leg
+/// pins the `blocked` override so the `PLR_KERNEL=scalar` CI leg (which
+/// makes constant chunks scalar too, collapsing the mix) cannot change
+/// what it observes.
 #[test]
 fn mixed_constant_and_varying_chunks_report_mixed_kernel() {
     let _g = lock_global();
@@ -306,12 +348,16 @@ fn mixed_constant_and_varying_chunks_report_mixed_kernel() {
         "half-constant/half-varying run must report Mixed"
     );
 
-    // All-varying: every chunk is the scalar matrix-carry loop.
+    // All-varying: every chunk runs the varying kernel of the active tier.
     let all_varying = VaryingSignature::first_order(contractive_gates(n, 1, 0xa11)).unwrap();
     let runner = runner_with(&all_varying, chunk, 2);
     let mut data = float_input(n);
     let stats = runner.run_in_place(&mut data).unwrap();
-    assert_eq!(stats.kernel, KernelKind::Scalar);
+    let expect = match kernel::tier() {
+        KernelTier::Auto | KernelTier::Simd if Isa::Avx2.available() => KernelKind::SimdAvx2,
+        _ => KernelKind::Scalar,
+    };
+    assert_eq!(stats.kernel, expect);
 }
 
 /// Satellite contract: varying signatures never touch the constant
